@@ -9,15 +9,11 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
 from . import experiments
 from .analytics import render_fom_table, technique_fom_table
 from .config import ConfigError, RunConfig, config_echo, parse_config
-from .crossbar import random_pattern
-from .devices import CellGrid, VariationSpec
 from .io import default_output_dir, write_csv, write_summary_json
-from .readout import RowReadSession, midpoint_threshold
+from .readout import RowReadSession
 from .selftest import run_selftest
 
 
@@ -55,10 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_read_row(cfg: RunConfig, out_dir, row: int) -> dict:
     spec = cfg.crossbar.to_spec()
-    rng = experiments.seeded_trial_stream(cfg.experiment.master_seed, 0)
-    pattern = random_pattern(spec.rows, spec.cols, rng, cfg.experiment.pattern_p)
-    cells = CellGrid.sample(
-        spec.rows, spec.cols, cfg.device.base_params(), cfg.variation.to_spec()
+    pattern, cells, _ = experiments.sample_trial(
+        cfg, 0, spec.rows, spec.cols, cfg.device.base_params()
     )
     session = RowReadSession(spec, cells, pattern)
     result = session.read_row_result(row)

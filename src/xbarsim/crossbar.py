@@ -183,16 +183,6 @@ def conventional_cell_bias(
     return BiasConfig(wordlines, bitlines)
 
 
-def bank_bitline_terms(
-    spec: CrossbarSpec, bank: int, mismatch: BiasMismatch | None = None
-) -> tuple[BitlineTermination, ...]:
-    """Bitline clamps for reading one bank: every column is clamped at
-    v_b plus its per-line offset (offsets model the bias circuit of the
-    line whichever circuit currently holds it)."""
-    bl_dv = mismatch.bitline_dv if mismatch is not None else np.zeros(spec.cols)
-    return tuple(Clamp(spec.v_b + float(bl_dv[j])) for j in range(spec.cols))
-
-
 @dataclass(frozen=True)
 class Bank:
     index: int
@@ -284,6 +274,12 @@ class LineAttachment:
     terminal_node: int = -1  # fixed source node (TERM_RESISTIVE only)
     conductance: float = 0.0  # series branch conductance (TERM_RESISTIVE only)
     voltage: float = np.nan  # source/clamp potential (NaN when floating)
+
+    @property
+    def control_node(self) -> int:
+        """Node whose net current is the line's boundary current: the
+        terminal of a series branch, else the line end itself."""
+        return self.terminal_node if self.kind == TERM_RESISTIVE else self.attach_node
 
 
 @dataclass(frozen=True)

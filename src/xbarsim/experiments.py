@@ -21,7 +21,7 @@ import numpy as np
 from . import analytics, readout
 from .config import RunConfig, config_echo
 from .crossbar import CrossbarSpec, random_pattern
-from .devices import HRS, LRS, CellGrid, VariationSpec
+from .devices import HRS, LRS, CellGrid, DeviceParams, VariationSpec
 from .io import default_output_dir, write_csv, write_summary_json
 from .readout import (
     ConventionalSession,
@@ -40,6 +40,17 @@ def seeded_trial_stream(master_seed: int, trial_index: int) -> np.random.Generat
 
 def _derived_seed(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 2**63 - 1))
+
+
+def sample_trial(cfg: RunConfig, stream: int, rows: int, cols: int,
+                 base: DeviceParams) -> tuple[np.ndarray, CellGrid, np.random.Generator]:
+    """Stored pattern and sampled cells of one trial, drawn from its stream
+    in a fixed order (pattern, then the variation seed); the stream is
+    returned for the trial's further draws."""
+    rng = seeded_trial_stream(cfg.experiment.master_seed, stream)
+    pattern = random_pattern(rows, cols, rng, cfg.experiment.pattern_p)
+    var = VariationSpec(cfg.variation.relative_sigma, _derived_seed(rng))
+    return pattern, CellGrid.sample(rows, cols, base, var), rng
 
 
 @dataclass(frozen=True)
@@ -94,10 +105,7 @@ def run_cdf_conventional(cfg: RunConfig, out_dir=None) -> dict:
     per_bg = -(-exp.sample_cells // exp.backgrounds)  # ceil division
 
     def one_background(t: int):
-        rng = seeded_trial_stream(exp.master_seed, t)
-        pattern = random_pattern(spec.rows, spec.cols, rng, exp.pattern_p)
-        var = VariationSpec(cfg.variation.relative_sigma, _derived_seed(rng))
-        cells = CellGrid.sample(spec.rows, spec.cols, base, var)
+        pattern, cells, rng = sample_trial(cfg, t, spec.rows, spec.cols, base)
         n_cells = spec.rows * spec.cols
         take = min(per_bg, n_cells)
         flat = rng.choice(n_cells, size=take, replace=False)
@@ -162,11 +170,7 @@ def run_row_read_map(cfg: RunConfig, out_dir=None) -> dict:
     exp = cfg.experiment
     spec = cfg.crossbar.to_spec()
     base = cfg.device.base_params()
-    rng = seeded_trial_stream(exp.master_seed, 0)
-    pattern = random_pattern(spec.rows, spec.cols, rng, exp.pattern_p)
-    var = VariationSpec(cfg.variation.relative_sigma, _derived_seed(rng))
-    cells = CellGrid.sample(spec.rows, spec.cols, base, var)
-
+    pattern, cells, _ = sample_trial(cfg, 0, spec.rows, spec.cols, base)
     session = RowReadSession(spec, cells, pattern)
     current_map = session.current_map()
     threshold = readout.midpoint_threshold(spec, base)
@@ -228,11 +232,8 @@ def run_power_sweep(cfg: RunConfig, out_dir=None) -> dict:
         idx, (model, size, trial) = unit
         dev_cfg = dataclasses.replace(cfg.device, model=model)
         base = dev_cfg.base_params()
-        rng = seeded_trial_stream(exp.master_seed, 2000 + idx)
         spec0 = dataclasses.replace(cfg.crossbar.to_spec(), rows=size, cols=size, bank_width=None)
-        pattern = random_pattern(size, size, rng, exp.pattern_p)
-        var = VariationSpec(cfg.variation.relative_sigma, _derived_seed(rng))
-        cells = CellGrid.sample(size, size, base, var)
+        pattern, cells, rng = sample_trial(cfg, 2000 + idx, size, size, base)
         sample_rows = sorted(rng.choice(size, size=min(exp.power_rows, size), replace=False).tolist())
         session = RowReadSession(spec0, cells, pattern)
         out = []
@@ -309,13 +310,14 @@ def run_mismatch_sweep(cfg: RunConfig, out_dir=None) -> dict:
             check = analytics.mismatch_simulation_check(
                 spec, p, device, trials=exp.trials, master_seed=exp.master_seed
             )
-            rows_out.append((model, float(dv), check.n_max_analytic,
-                             check.n_max_empirical, float(check.relative_gap)))
+            gap = float(check.relative_gap)
+            rows_out.append((model, float(dv), check.n_max_analytic, check.n_max_empirical, gap))
             table.append({
                 "model": model, "delta_v_V": float(dv),
                 "n_max_analytic": check.n_max_analytic,
                 "n_max_empirical": check.n_max_empirical,
-                "relative_gap": float(check.relative_gap),
+                "relative_gap": gap if np.isfinite(gap) else None,
+                "unbounded": check.unbounded,
             })
     csv_path, json_path = _out_paths(cfg, out_dir, "mismatch-sweep")
     write_csv(csv_path,
@@ -324,7 +326,11 @@ def run_mismatch_sweep(cfg: RunConfig, out_dir=None) -> dict:
     summary = {
         "experiment": "mismatch-sweep",
         "seed": exp.master_seed,
-        "within_5pct": all(r["relative_gap"] <= 0.05 for r in table),
+        # A sweep with no closed-form limit agrees when it finds none either.
+        "within_5pct": all(
+            r["unbounded"] if r["relative_gap"] is None else r["relative_gap"] <= 0.05
+            for r in table
+        ),
         "table": table,
         "config": config_echo(cfg),
     }
@@ -375,11 +381,8 @@ def run_scheme_compare(cfg: RunConfig, out_dir=None) -> dict:
 
     def one_unit(unit):
         idx, (scheme, size) = unit
-        rng = seeded_trial_stream(exp.master_seed, 1000 + idx)
         spec = dataclasses.replace(cfg.crossbar.to_spec(), rows=size, cols=size, bank_width=None)
-        pattern = random_pattern(size, size, rng, exp.pattern_p)
-        var = VariationSpec(cfg.variation.relative_sigma, _derived_seed(rng))
-        cells = CellGrid.sample(size, size, cfg.device.base_params(), var)
+        pattern, cells, rng = sample_trial(cfg, 1000 + idx, size, size, cfg.device.base_params())
         try:
             values, bits, unit_name = _scheme_populations(scheme, cfg, spec, cells, pattern, rng)
             lrs, hrs = split_by_state(values, bits)

@@ -12,6 +12,7 @@ effective-resistance query per cell.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 
@@ -26,9 +27,8 @@ from .crossbar import (
     CrossbarSpec,
     Drive,
     Floating,
+    Network,
     ResistiveLoad,
-    TERM_RESISTIVE,
-    bank_partition,
     build_network,
     check_pattern,
     conventional_cell_bias,
@@ -37,15 +37,15 @@ from .crossbar import (
 from .devices import LRS, CellGrid, DeviceParams, ideal_state_currents
 from .solver import (
     DEFAULT_OPTIONS,
-    SolverConvergenceError,
+    ReducedSystem,
     SolverOptions,
     assemble_admittance,
     bitline_currents,
+    branch_currents,
     check_grounded,
-    device_incidence,
+    node_imbalance,
     solve,
     solve_nonlinear,
-    wire_laplacian,
 )
 
 _CHORD_MAX_ITERS = 80
@@ -172,24 +172,15 @@ def read_row(
     threshold: float | None = None,
     opts: SolverOptions = DEFAULT_OPTIONS,
 ) -> ReadResult:
-    """One-cycle row read: solve the biased network per bank and collect all
-    N bitline currents.  Per-line mismatch offsets apply to every clamp of
-    the affected line, so the bank solves coincide and are deduplicated."""
+    """One-cycle row read: solve the biased network once and collect all N
+    bitline currents.  The bias does not depend on the bank (per-line
+    mismatch offsets apply to every clamp of the affected line), so one
+    solve serves every bank."""
     pattern = check_pattern(spec, pattern)
     if threshold is None:
         threshold = midpoint_threshold(spec, cells.base)
-    currents = np.empty(spec.cols)
-    prev_bias = prev_currents = None
-    for bank in bank_partition(spec):
-        bias = row_read_bias(spec, i, mismatch)
-        if bias == prev_bias:
-            currents[bank.col_start:bank.col_stop] = prev_currents[bank.col_start:bank.col_stop]
-            continue
-        net = build_network(spec, pattern, cells, bias)
-        sol = solve(net, opts)
-        all_cols = bitline_currents(net, sol)
-        currents[bank.col_start:bank.col_stop] = all_cols[bank.col_start:bank.col_stop]
-        prev_bias, prev_currents = bias, all_cols
+    net = build_network(spec, pattern, cells, row_read_bias(spec, i, mismatch))
+    currents = bitline_currents(net, solve(net, opts))
     return _make_result(i, currents, "A", threshold, pattern[i])
 
 
@@ -262,16 +253,29 @@ def _batch_columns(n_nodes: int, requested: int) -> int:
     return max(1, min(requested, _BATCH_TARGET_FLOATS // max(n_nodes, 1)))
 
 
+def _line_voltages(net: Network, wl_v: np.ndarray, bl_v: np.ndarray) -> np.ndarray:
+    """Node-voltage matrix with every line's control node set from its row
+    of ``wl_v`` (wordlines x solves) or ``bl_v`` (bitlines x solves), both
+    ends of a double-sided wordline alike, and zeros elsewhere."""
+    V = np.zeros((net.n_nodes, wl_v.shape[1]))
+    V[[a.control_node for a in net.wl_attach]] = wl_v
+    far = [(i, a.control_node) for i, a in enumerate(net.wl_attach_far) if a is not None]
+    if far:
+        rows, nodes = zip(*far)
+        V[list(nodes)] = wl_v[list(rows)]
+    V[[a.control_node for a in net.bl_attach]] = bl_v
+    return V
+
+
 class RowReadSession:
     """Row readout of one sampled array with a single factorization.
 
     The fixed-node set of the row-read bias does not depend on the selected
-    row, so for ohmic devices one LU factorization serves every row (only
-    the right-hand side changes).  For sinh devices the Jacobian at the
-    flat start (all lines at the hold voltage) is also row-independent; it
-    is factorized once and iterated as a frozen-Jacobian Newton scheme,
-    verified against the true KCL residual, with a per-row exact fallback
-    if the iteration stalls.
+    row, so one ``ReducedSystem`` factorized at the flat start (all lines at
+    the hold voltage) serves every row.  Ohmic rows are solved and refined
+    by it directly, many rows per batch.  Sinh rows iterate on that frozen
+    Jacobian against the true KCL residual until ``opts.abs_tol``, with a
+    per-row exact Newton fallback if the iteration stalls.
     """
 
     def __init__(
@@ -288,44 +292,9 @@ class RowReadSession:
         self.mismatch = mismatch if mismatch is not None else BiasMismatch.zeros(spec)
         self.opts = opts
         self.net = build_network(spec, self.pattern, cells, row_read_bias(spec, 0, self.mismatch))
-        check_grounded(self.net)
-        self._u = ~self.net.fixed_mask
-        self._uidx = np.flatnonzero(self._u)
-        self._fidx = np.flatnonzero(self.net.fixed_mask)
-        att = lambda a: a.terminal_node if a.kind == TERM_RESISTIVE else a.attach_node
-        self._wl_ctrl = np.array([att(a) for a in self.net.wl_attach])
-        self._wl_ctrl_far = np.array([
-            att(a) if a is not None else -1 for a in self.net.wl_attach_far
-        ])
-        self._bl_ctrl = np.array([att(a) for a in self.net.bl_attach])
-        self._l_wire = wire_laplacian(self.net)
-        self._e_dev = device_incidence(self.net)
-        g0 = cells.active_conductances(self.pattern, at_voltage=0.0)
-        self._G0 = assemble_admittance(self.net, g0)
-        Gu = self._G0[self._u]
-        self._Guf = Gu[:, self.net.fixed_mask]
-        self._lu = spla.splu(Gu[:, self._u].tocsc()) if self._uidx.size else None
-        if not cells.is_linear:
-            self._k_act = np.where(self.pattern == LRS, cells.on_values, cells.off_values).ravel()
-            self._a = cells.base.a
-
-    def _fixed_values(self, rows, v_b: float, v_dd: float) -> np.ndarray:
-        """Fixed-node voltage vector for each selected row (columns of the batch)."""
-        vf = np.empty((self.net.n_nodes, len(rows)))
-        wl_v = v_b + self.mismatch.wordline_dv
-        bl_v = v_b + self.mismatch.bitline_dv
-        far = self._wl_ctrl_far
-        has_far = far >= 0
-        for c, r in enumerate(rows):
-            col = vf[:, c]
-            col[self._wl_ctrl] = wl_v
-            col[self._wl_ctrl[r]] = v_dd
-            if has_far.any():
-                col[far[has_far]] = wl_v[has_far]
-                if has_far[r]:
-                    col[far[r]] = v_dd
-            col[self._bl_ctrl] = bl_v
-        return vf
+        self.system = ReducedSystem(self.net)
+        self.system.factor(cells.active_conductances(self.pattern, at_voltage=0.0))
+        self._bl_ctrl = np.array([a.control_node for a in self.net.bl_attach])
 
     def solve_rows(self, rows, v_b: float | None = None, v_dd: float | None = None) -> np.ndarray:
         """Full node-voltage matrix (n_nodes x len(rows)), one column per row read.
@@ -336,41 +305,19 @@ class RowReadSession:
         rows = list(rows)
         v_b = self.spec.v_b if v_b is None else v_b
         v_dd = self.spec.v_dd if v_dd is None else v_dd
-        V = self._fixed_values(rows, v_b, v_dd)
-        if not self._uidx.size:
-            return V
+        k = np.arange(len(rows))
+        wl_v = np.repeat((v_b + self.mismatch.wordline_dv)[:, None], len(rows), axis=1)
+        wl_v[rows, k] = v_dd
+        bl_v = np.repeat((v_b + self.mismatch.bitline_dv)[:, None], len(rows), axis=1)
+        V = _line_voltages(self.net, wl_v, bl_v)
         if self.cells.is_linear:
-            rhs = -(self._Guf @ V[self._fidx])
-            X = self._lu.solve(rhs)
-            V[self._uidx] = X
-            best = np.abs((self._G0 @ V)[self._uidx]).max()
-            for _ in range(4):
-                if best == 0.0:
-                    break
-                R = (self._G0 @ V)[self._uidx]
-                V_try = V.copy()
-                V_try[self._uidx] -= self._lu.solve(R)
-                res_try = np.abs((self._G0 @ V_try)[self._uidx]).max()
-                if res_try >= best:
-                    break
-                V, best = V_try, res_try
-            res = best
-            if res > self.opts.abs_tol:
-                raise SolverConvergenceError(
-                    f"batched linear residual {res:.3e} A above tolerance",
-                    residual=float(res), iterations=1,
-                )
-            return V
+            return self.system.solve(V, self.opts)[0]
         return self._solve_rows_chord(rows, V, v_b)
 
-    def _residual(self, V: np.ndarray) -> np.ndarray:
-        dv = V[self.net.dev_a] - V[self.net.dev_b]
-        i_dev = self._k_act[:, None] * np.sinh(self._a * dv)
-        return (self._l_wire @ V + self._e_dev @ i_dev)[self._uidx]
-
     def _solve_rows_chord(self, rows, V: np.ndarray, v_b: float) -> np.ndarray:
-        V[self._uidx] = v_b
-        F = self._residual(V)
+        system = self.system
+        V[system.unknown] = v_b
+        F = system.imbalance(V)
         active = np.arange(V.shape[1])
         last = np.inf
         for it in range(_CHORD_MAX_ITERS):
@@ -384,11 +331,8 @@ class RowReadSession:
             if it > 6 and worst > 0.5 * last:
                 break  # frozen-Jacobian iteration stalled; fall back per row
             last = worst
-            V[np.ix_(self._uidx, active)] -= self._lu.solve(np.ascontiguousarray(F))
-            Vact = V[:, active]
-            dv = Vact[self.net.dev_a] - Vact[self.net.dev_b]
-            i_dev = self._k_act[:, None] * np.sinh(self._a * dv)
-            F = (self._l_wire @ Vact + self._e_dev @ i_dev)[self._uidx]
+            V[np.ix_(system.unknown, active)] -= system.lu.solve(F)
+            F = system.imbalance(V[:, active])
         for c in active:
             net = build_network(
                 self.spec, self.pattern, self.cells, row_read_bias(self.spec, rows[c], self.mismatch)
@@ -398,26 +342,12 @@ class RowReadSession:
 
     def bitline_currents_from(self, V: np.ndarray) -> np.ndarray:
         """Per-column sense currents for each solved column of V (cols x N)."""
-        if self.cells.is_linear:
-            leaving = self._G0 @ V
-        else:
-            dv = V[self.net.dev_a] - V[self.net.dev_b]
-            i_dev = self._k_act[:, None] * np.sinh(self._a * dv)
-            leaving = self._l_wire @ V + self._e_dev @ i_dev
-        return -leaving[self._bl_ctrl].T
+        return -node_imbalance(self.net, V, self.system.E)[self._bl_ctrl].T
 
     def branch_power_from(self, V: np.ndarray) -> np.ndarray:
         """Total branch dissipation of each solved column of V (watts)."""
-        dv_wire = V[self.net.wire_a] - V[self.net.wire_b]
-        p = (dv_wire**2 * self.net.wire_g[:, None]).sum(axis=0)
-        dv = V[self.net.dev_a] - V[self.net.dev_b]
-        if self.cells.is_linear:
-            g_act = self.cells.active_conductances(self.pattern).ravel()
-            p = p + (dv**2 * g_act[:, None]).sum(axis=0)
-        else:
-            i_dev = self._k_act[:, None] * np.sinh(self._a * dv)
-            p = p + (dv * i_dev).sum(axis=0)
-        return p
+        dv = self.system.E.T @ V
+        return (dv * branch_currents(self.net, dv)).sum(axis=0)
 
     def row_currents(self, rows) -> np.ndarray:
         rows = list(rows)
@@ -447,8 +377,8 @@ class ConventionalSession:
     effective resistance between the driven wordline end and the grounded
     bitline end; one factorization of the (grounded) interior Laplacian
     answers every cell with a single back-substitution.  With unselected
-    lines clamped, the fixed-node set is cell-independent and the same
-    one-factorization / many-right-hand-sides approach applies directly.
+    lines clamped, the fixed-node set is cell-independent, so one
+    ``ReducedSystem`` solves and refines every cell's bias as one batch.
     """
 
     def __init__(
@@ -471,7 +401,6 @@ class ConventionalSession:
         self.pattern = check_pattern(spec, pattern)
         self.unselected = unselected
         self.opts = opts
-        import dataclasses
 
         self._floating = isinstance(unselected, Floating)
         if self._floating and spec.double_sided_clamps:
@@ -484,35 +413,23 @@ class ConventionalSession:
         bias = conventional_cell_bias(base_spec, 0, 0, unselected)
         self.net = build_network(base_spec, self.pattern, cells, bias)
         g_dev = cells.active_conductances(self.pattern)
-        G = assemble_admittance(self.net, g_dev)
         self._p_nodes = self.net.wl_nodes[:, 0]
         self._q_nodes = self.net.bl_nodes[spec.rows - 1, :]
         if self._floating:
             # Ground the interior Laplacian at the last bitline's sense end;
             # queries touching the ground node drop that unit entry.
             check_grounded(self.net)
+            G = assemble_admittance(self.net, g_dev)
             self._ground = int(self._q_nodes[-1])
             keep = np.ones(self.net.n_nodes, dtype=bool)
             keep[self._ground] = False
             self._keep_index = np.cumsum(keep) - 1
-            Ag = G[keep][:, keep].tocsc()
-            self._lu = spla.splu(Ag)
+            self._lu = spla.splu(G[keep][:, keep].tocsc())
             self._n_red = int(keep.sum())
         else:
-            check_grounded(self.net)
-            self._G = G
-            self._u = ~self.net.fixed_mask
-            self._uidx = np.flatnonzero(self._u)
-            self._fidx = np.flatnonzero(self.net.fixed_mask)
-            Gu = G[self._u]
-            self._Guf = Gu[:, self.net.fixed_mask]
-            self._lu = spla.splu(Gu[:, self._u].tocsc())
-            att = lambda a: a.terminal_node if a.kind == TERM_RESISTIVE else a.attach_node
-            self._wl_ctrl = np.array([att(a) for a in self.net.wl_attach])
-            self._wl_ctrl_far = np.array([
-                att(a) if a is not None else -1 for a in self.net.wl_attach_far
-            ])
-            self._bl_ctrl = np.array([att(a) for a in self.net.bl_attach])
+            self.system = ReducedSystem(self.net)
+            self.system.factor(g_dev)
+            self._bl_ctrl = np.array([a.control_node for a in self.net.bl_attach])
 
     def currents(self, cells_ij) -> np.ndarray:
         """Sensed current for each (i, j) target, batched."""
@@ -549,35 +466,11 @@ class ConventionalSession:
         return self.spec.v_dd / (r_eff + 2.0 * self.spec.r_driver)
 
     def _currents_clamped(self, chunk) -> np.ndarray:
-        far = self._wl_ctrl_far
-        has_far = far >= 0
-        vf_base = np.empty(self.net.n_nodes)
-        vf_base[self._wl_ctrl] = self.unselected.v
-        vf_base[far[has_far]] = self.unselected.v
-        vf_base[self._bl_ctrl] = self.unselected.v
-        V = np.empty((self.net.n_nodes, len(chunk)))
-        for c, (i, j) in enumerate(chunk):
-            col = vf_base.copy()
-            col[self._wl_ctrl[i]] = self.spec.v_dd
-            if has_far[i]:
-                col[far[i]] = self.spec.v_dd
-            col[self._bl_ctrl[j]] = 0.0
-            V[:, c] = col
-        rhs = -(self._Guf @ V[self._fidx])
-        V[self._uidx] = self._lu.solve(rhs)
-        best = np.abs((self._G @ V)[self._uidx]).max()
-        for _ in range(4):
-            if best == 0.0:
-                break
-            R = (self._G @ V)[self._uidx]
-            V_try = V.copy()
-            V_try[self._uidx] -= self._lu.solve(R)
-            res_try = np.abs((self._G @ V_try)[self._uidx]).max()
-            if res_try >= best:
-                break
-            V, best = V_try, res_try
-        leaving = self._G @ V
-        out = np.empty(len(chunk))
-        for c, (i, j) in enumerate(chunk):
-            out[c] = -leaving[self._bl_ctrl[j], c]
-        return out
+        ii, jj = (np.array(x, dtype=np.int64) for x in zip(*chunk))
+        k = np.arange(len(chunk))
+        wl_v = np.full((self.spec.rows, len(chunk)), self.unselected.v)
+        wl_v[ii, k] = self.spec.v_dd
+        bl_v = np.full((self.spec.cols, len(chunk)), self.unselected.v)
+        bl_v[jj, k] = 0.0
+        V, _ = self.system.solve(_line_voltages(self.net, wl_v, bl_v), self.opts)
+        return -node_imbalance(self.net, V, self.system.E)[self._bl_ctrl[jj], k]

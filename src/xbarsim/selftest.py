@@ -32,6 +32,12 @@ from .solver import bitline_currents, solve, source_power
 _SMALL = CrossbarSpec(rows=8, cols=8, r_wire=10.0)
 
 
+def _require(ok, message: str) -> None:
+    """Explicit check: unlike ``assert`` it still fails under ``python -O``."""
+    if not ok:
+        raise AssertionError(message)
+
+
 def _checks():
     lin = LinearDeviceParams()
     non = NonlinearDeviceParams()
@@ -41,25 +47,25 @@ def _checks():
         cell = sample_cell(1, non, novar, 0, 0)
         vs = np.linspace(-1.5, 1.5, 101)
         odd = max(abs(device_current(cell, v) + device_current(cell, -v)) for v in vs)
-        assert odd < 1e-15 * device_current(cell, 1.5), "odd symmetry"
+        _require(odd < 1e-15 * device_current(cell, 1.5), "odd symmetry")
         h = 1e-7
         for v in (0.0, 0.3, 0.5, 1.2):
             fd = (device_current(cell, v + h) - device_current(cell, v - h)) / (2 * h)
             g = device_conductance(cell, v)
-            assert abs(fd - g) <= 1e-6 * abs(g), "derivative consistency"
+            _require(abs(fd - g) <= 1e-6 * abs(g), "derivative consistency")
         for base in (lin, non):
             on = device_current(sample_cell(1, base, novar, 0, 0), 0.5)
             off = device_current(sample_cell(0, base, novar, 0, 0), 0.5)
-            assert on / off >= 100, "state ordering"
+            _require(on / off >= 100, "state ordering")
 
     def sampling_determinism():
         var = VariationSpec(0.10, 42)
         a = sample_cell(1, lin, var, 3, 5)
         b = sample_cell(1, lin, var, 3, 5)
-        assert a == b, "per-cell sampling must be deterministic"
+        _require(a == b, "per-cell sampling must be deterministic")
         grid = CellGrid.sample(6, 6, lin, var)
         c = grid.cell(3, 5, 1)
-        assert c.params == a.params, "grid and scalar sampling must agree"
+        _require(c.params == a.params, "grid and scalar sampling must agree")
 
     def oracle_equivalence():
         for seed in range(5):
@@ -72,7 +78,7 @@ def _checks():
             net = build_network(spec, pattern, cells, bias)
             v1 = solve(net).node_voltages
             v2 = dense_reference_solve(net).node_voltages
-            assert np.abs(v1 - v2).max() < 1e-10, "sparse/dense disagreement"
+            _require(np.abs(v1 - v2).max() < 1e-10, "sparse/dense disagreement")
 
     def physics_invariants():
         rng = np.random.default_rng(7)
@@ -80,15 +86,16 @@ def _checks():
         cells = CellGrid.sample(8, 8, lin, VariationSpec(0.10, 7))
         net = build_network(_SMALL, pattern, cells, conventional_cell_bias(_SMALL, 2, 3))
         sol = solve(net)
-        assert sol.kcl_residual <= 1e-12, "KCL residual"
+        _require(sol.kcl_residual <= 1e-12, "KCL residual")
         fixed = net.fixed_voltage[net.fixed_mask]
         v = sol.node_voltages
-        assert v.min() >= fixed.min() - 1e-12 and v.max() <= fixed.max() + 1e-12, "maximum principle"
+        _require(v.min() >= fixed.min() - 1e-12 and v.max() <= fixed.max() + 1e-12,
+                 "maximum principle")
         p_branch = analytics.power_exact(net, sol)
         p_src = source_power(net, sol)
         # The two sides differ by sum(v * imbalance) over unknown nodes.
         slack = net.n_nodes * np.abs(v).max() * max(sol.kcl_residual, 1e-16)
-        assert abs(p_branch - p_src) <= 1e-12 * abs(p_src) + slack, "power conservation"
+        _require(abs(p_branch - p_src) <= 1e-12 * abs(p_src) + slack, "power conservation")
 
     def ideal_row_read():
         spec = dataclasses.replace(_SMALL, r_wire=0.0)
@@ -98,16 +105,16 @@ def _checks():
         net = build_network(spec, pattern, cells, row_read_bias(spec, 1))
         got = bitline_currents(net, solve(net))
         want = cells.currents(pattern, spec.v_dd - spec.v_b)[1]
-        assert np.abs(got - want).max() < 1e-12, "ideal-rail row read"
+        _require(np.abs(got - want).max() < 1e-12, "ideal-rail row read")
 
     def fom_table():
         rows = analytics.technique_fom_table()
-        assert all(r.matches_published for r in rows), "figure-of-merit mismatch"
+        _require(all(r.matches_published for r in rows), "figure-of-merit mismatch")
 
     def mismatch_limits():
         p = analytics.MismatchParams()
-        assert analytics.max_column_width(p, lin) == 195
-        assert analytics.max_column_width(p, non) == 6500
+        _require(analytics.max_column_width(p, lin) == 195, "linear column limit 195")
+        _require(analytics.max_column_width(p, non) == 6500, "sinh column limit 6500")
 
     def row_session_matches_single_solve():
         rng = np.random.default_rng(11)
@@ -118,8 +125,8 @@ def _checks():
         got = session.row_currents([4])[0]
         net = build_network(_SMALL, pattern, cells, row_read_bias(_SMALL, 4, mism))
         want = bitline_currents(net, solve(net))
-        assert np.abs(got - want).max() < 1e-11, "session/direct mismatch"
-        assert midpoint_threshold(_SMALL, non) > 0
+        _require(np.abs(got - want).max() < 1e-11, "session/direct mismatch")
+        _require(midpoint_threshold(_SMALL, non) > 0, "positive decision threshold")
 
     return [
         ("device models", device_models),

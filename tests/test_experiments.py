@@ -157,6 +157,23 @@ class TestMismatchSweep:
         assert models["nonlinear"]["n_max_analytic"] == 6500
 
 
+    def test_half_millivolt_writes_strict_json(self, tmp_path):
+        cfg = small_cfg()
+        exp = dataclasses.replace(cfg.experiment, delta_v_grid=(0.5e-3,), trials=1)
+        cfg = dataclasses.replace(cfg, experiment=exp)
+        run_mismatch_sweep(cfg, tmp_path)
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        text = (tmp_path / "mismatch-sweep-7.json").read_text()
+        summary = json.loads(text, parse_constant=reject)
+        assert summary["within_5pct"] is True
+        for row in summary["table"]:
+            assert row["unbounded"] is False
+            assert row["relative_gap"] <= 0.05
+
+
 class TestSchemeCompare:
     def test_row_readout_never_fails_small(self, tmp_path):
         cfg = small_cfg()
