@@ -272,7 +272,7 @@ class MismatchCheck:
     n_max_analytic: int | None  # None when no finite limit exists (delta_v = 0)
     n_max_empirical: int
     relative_gap: float
-    unbounded: bool = False  # sweep cap reached without a violation (delta_v = 0)
+    unbounded: bool = False  # sweep cap reached without a violation
 
 
 def _balanced_column_pattern(n: int, target_bit: int) -> np.ndarray:
@@ -324,24 +324,26 @@ def mismatch_simulation_check(
     trials: int = 1,
     master_seed: int = 1,
     opts: SolverOptions = DEFAULT_OPTIONS,
-    sweep_cap: int = 20000,
+    sweep_cap: int = 1 << 16,
 ) -> MismatchCheck:
     """Find the largest column height whose simulated mismatch current stays
     inside the sensing window, by bisection on the (monotone) normalized
     excursion, and compare with the closed form.
 
     The bracket starts at twice the closed-form limit and doubles until the
-    window is left; ``sweep_cap`` bounds only the delta_v = 0 sweep, which
-    has no closed-form limit."""
+    window is left, never past ``sweep_cap`` rows; a column of ``sweep_cap``
+    rows still inside the window is reported ``unbounded``.  The default cap
+    covers the default delta_v grid (its widest bracket, sinh at 0.5 mV, is
+    52004 rows)."""
     analytic = max_column_width(p, device) if p.delta_v > 0 else None
     lo = 2
-    hi = 2 * analytic + 4 if analytic is not None else sweep_cap
+    hi = min(sweep_cap, 2 * analytic + 4) if analytic is not None else sweep_cap
     if _simulated_unwanted(spec, device, p, lo, trials, master_seed, opts) > 1.0:
         return MismatchCheck(analytic, 0, float("inf"))
     while _simulated_unwanted(spec, device, p, hi, trials, master_seed, opts) <= 1.0:
-        if analytic is None:
+        if hi >= sweep_cap:
             return MismatchCheck(analytic, sweep_cap, float("nan"), unbounded=True)
-        hi *= 2
+        hi = min(2 * hi, sweep_cap)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if _simulated_unwanted(spec, device, p, mid, trials, master_seed, opts) <= 1.0:

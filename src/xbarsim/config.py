@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 
 import yaml
 
@@ -101,10 +101,12 @@ class DeviceConfig:
 @dataclass(frozen=True)
 class VariationConfig:
     relative_sigma: float = 0.10
-    seed: int = 1
-
-    def to_spec(self) -> VariationSpec:
-        return VariationSpec(self.relative_sigma, self.seed)
+    # Every campaign derives its variation seed from the trial stream
+    # (experiments.sample_trial), so there is no seed setting: config files
+    # and overrides that name one are rejected as unknown keys.  The
+    # init-only keyword is accepted and dropped so that Python callers
+    # written against the old field still construct.
+    seed: InitVar[int | None] = None
 
 
 @dataclass(frozen=True)
@@ -183,7 +185,7 @@ class RunConfig:
         # Surface cross-field violations with their section names.
         for section, build in (
             ("crossbar", self.crossbar.to_spec),
-            ("variation", self.variation.to_spec),
+            ("variation", lambda: VariationSpec(self.variation.relative_sigma)),
             ("sense", self.sense.to_params),
             ("mismatch", self.mismatch.to_params),
         ):
@@ -198,7 +200,7 @@ class RunConfig:
         return self
 
 
-_INT_FIELDS = {"rows", "cols", "bank_width", "seed", "master_seed", "trials", "workers",
+_INT_FIELDS = {"rows", "cols", "bank_width", "master_seed", "trials", "workers",
                "sample_cells", "backgrounds", "power_rows", "scheme_rows", "map_bins"}
 _STR_FIELDS = {"model", "output_dir"}
 _BOOL_FIELDS = {"double_sided_clamps"}

@@ -224,12 +224,12 @@ class CellGrid:
         return k * self.base.a * np.cosh(self.base.a * at_voltage)
 
     def currents(self, pattern: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Per-cell current at per-cell voltages v (broadcastable to the grid)."""
-        if self.is_linear:
-            r = np.where(pattern == LRS, self._on, self._off)
-            return v / r
-        k = np.where(pattern == LRS, self._on, self._off)
-        return k * np.sinh(self.base.a * v)
+        """Per-cell current at per-cell voltages v: broadcastable to the grid,
+        or the grid's shape plus a trailing axis with one column per solve."""
+        p = np.where(pattern == LRS, self._on, self._off)
+        if np.ndim(v) == p.ndim + 1:
+            p = p[..., None]
+        return v / p if self.is_linear else p * np.sinh(self.base.a * v)
 
     def conductances(self, pattern: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Per-cell differential conductance at per-cell voltages v."""

@@ -41,7 +41,7 @@ from .solver import (
     SolverOptions,
     assemble_admittance,
     bitline_currents,
-    branch_currents,
+    branch_currents_at,
     check_grounded,
     node_imbalance,
     solve,
@@ -347,7 +347,7 @@ class RowReadSession:
     def branch_power_from(self, V: np.ndarray) -> np.ndarray:
         """Total branch dissipation of each solved column of V (watts)."""
         dv = self.system.E.T @ V
-        return (dv * branch_currents(self.net, dv)).sum(axis=0)
+        return (dv * branch_currents_at(self.net, dv)).sum(axis=0)
 
     def row_currents(self, rows) -> np.ndarray:
         rows = list(rows)

@@ -22,7 +22,6 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from .crossbar import TERM_FLOATING, Network
-from .devices import LRS
 
 
 class SingularNetworkError(ValueError):
@@ -130,18 +129,14 @@ def _device_dv(net: Network, v: np.ndarray) -> np.ndarray:
     return (v[net.dev_a] - v[net.dev_b]).reshape(net.spec.rows, net.spec.cols)
 
 
-def branch_currents(net: Network, dv: np.ndarray) -> np.ndarray:
+def branch_currents_at(net: Network, dv: np.ndarray) -> np.ndarray:
     """Current through each branch, in incidence order, at branch voltages
     ``dv`` (a vector, or a matrix with one column per solve)."""
     nw = net.wire_a.size
-    cells = net.cells
-    par = np.where(net.pattern == LRS, cells.on_values, cells.off_values).ravel()
-    g = net.wire_g
-    if dv.ndim == 2:
-        par, g = par[:, None], g[:, None]
+    g = net.wire_g if dv.ndim == 1 else net.wire_g[:, None]
     d = dv[nw:]
-    i_dev = d / par if cells.is_linear else par * np.sinh(cells.base.a * d)
-    return np.concatenate([g * dv[:nw], i_dev])
+    i_dev = net.cells.currents(net.pattern, d.reshape(net.cells.shape + d.shape[1:]))
+    return np.concatenate([g * dv[:nw], i_dev.reshape(d.shape)])
 
 
 def node_imbalance(net: Network, v: np.ndarray, E: sp.csr_matrix | None = None) -> np.ndarray:
@@ -155,7 +150,7 @@ def node_imbalance(net: Network, v: np.ndarray, E: sp.csr_matrix | None = None) 
     """
     if E is None:
         E = incidence(net)
-    return E @ branch_currents(net, E.T @ v)
+    return E @ branch_currents_at(net, E.T @ v)
 
 
 def _initial_voltages(net: Network) -> np.ndarray:
@@ -227,7 +222,7 @@ class ReducedSystem:
 
 
 def _finish(system: ReducedSystem, v: np.ndarray, residual: float, iterations: int) -> Solution:
-    i = branch_currents(system.net, system.E.T @ v)
+    i = branch_currents_at(system.net, system.E.T @ v)
     nw = system.net.wire_a.size
     return Solution(v, i[:nw], i[nw:], residual, iterations)
 

@@ -73,7 +73,7 @@ def test_criterion_1_sneak_path_elimination():
 def _cdf_config(n: int, samples: int) -> RunConfig:
     return RunConfig(
         crossbar=CrossbarConfig(rows=n, cols=n),
-        variation=VariationConfig(relative_sigma=0.10, seed=5),
+        variation=VariationConfig(relative_sigma=0.10),
         experiment=ExperimentConfig(master_seed=5, sample_cells=samples, backgrounds=4),
     )
 
@@ -107,7 +107,7 @@ def _map_config(n: int, model: str) -> RunConfig:
     return RunConfig(
         crossbar=CrossbarConfig(rows=n, cols=n, double_sided_clamps=True),
         device=dataclasses.replace(RunConfig().device, model=model),
-        variation=VariationConfig(relative_sigma=0.10, seed=9),
+        variation=VariationConfig(relative_sigma=0.10),
         experiment=ExperimentConfig(master_seed=9),
     )
 

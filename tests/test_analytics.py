@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from xbarsim.analytics import (
     render_fom_table,
     technique_fom_table,
 )
+from xbarsim.config import ExperimentConfig
 from xbarsim.crossbar import CrossbarSpec, build_network, random_pattern, row_read_bias
 from xbarsim.devices import CellGrid, LinearDeviceParams, NonlinearDeviceParams, VariationSpec
 from xbarsim.solver import solve, source_power
@@ -235,6 +237,21 @@ class TestMismatchSimulation:
             spec, MismatchParams(delta_v=0.0), LIN, sweep_cap=512
         )
         assert check.unbounded and check.n_max_empirical == 512
+
+    def test_tiny_offset_stops_at_sweep_cap(self):
+        spec = CrossbarSpec(rows=8, cols=8)
+        check = mismatch_simulation_check(
+            spec, MismatchParams(delta_v=1e-6), NON, sweep_cap=512
+        )
+        assert check.n_max_analytic == 13_000_000
+        assert check.unbounded and check.n_max_empirical == 512
+        assert math.isnan(check.relative_gap)
+
+    def test_default_sweep_cap_covers_default_grid(self):
+        cap = inspect.signature(mismatch_simulation_check).parameters["sweep_cap"].default
+        for dv in ExperimentConfig().delta_v_grid:
+            for device in (LIN, NON):
+                assert 2 * max_column_width(MismatchParams(delta_v=dv), device) + 4 <= cap
 
     def test_random_trials_stay_close(self):
         spec = CrossbarSpec(rows=8, cols=8)

@@ -86,6 +86,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="crossbar"):
             parse_config(overrides=["crossbar.v_b=1.3"])
 
+    def test_variation_seed_is_not_a_setting(self):
+        # Trials derive their variation seeds from experiment.master_seed.
+        with pytest.raises(ConfigError, match=r"variation: unknown key\(s\) \['seed'\]"):
+            parse_config(overrides=["variation.seed=3"])
+        with pytest.raises(ConfigError, match="variation"):
+            parse_config(overrides=["variation.relative_sigma=0.5"])
+
     def test_bank_divisibility_rejected(self):
         with pytest.raises(ConfigError, match="crossbar"):
             parse_config(overrides=["crossbar.bank_width=100"])

@@ -19,7 +19,7 @@ from xbarsim.experiments import (
 def small_cfg(**exp_kwargs) -> RunConfig:
     return RunConfig(
         crossbar=CrossbarConfig(rows=16, cols=16),
-        variation=VariationConfig(relative_sigma=0.10, seed=3),
+        variation=VariationConfig(relative_sigma=0.10),
         experiment=ExperimentConfig(
             master_seed=7,
             trials=2,
@@ -156,22 +156,34 @@ class TestMismatchSweep:
         assert models["linear"]["n_max_analytic"] == 195
         assert models["nonlinear"]["n_max_analytic"] == 6500
 
-
-    def test_half_millivolt_writes_strict_json(self, tmp_path):
-        cfg = small_cfg()
-        exp = dataclasses.replace(cfg.experiment, delta_v_grid=(0.5e-3,), trials=1)
-        cfg = dataclasses.replace(cfg, experiment=exp)
-        run_mismatch_sweep(cfg, tmp_path)
+    @staticmethod
+    def _strict_summary(cfg, tmp_path, delta_v):
+        exp = dataclasses.replace(cfg.experiment, delta_v_grid=(delta_v,), trials=1)
+        run_mismatch_sweep(dataclasses.replace(cfg, experiment=exp), tmp_path)
 
         def reject(name):
             raise ValueError(f"non-JSON constant {name}")
 
         text = (tmp_path / "mismatch-sweep-7.json").read_text()
-        summary = json.loads(text, parse_constant=reject)
+        return json.loads(text, parse_constant=reject)
+
+    def test_half_millivolt_writes_strict_json(self, tmp_path):
+        summary = self._strict_summary(small_cfg(), tmp_path, 0.5e-3)
         assert summary["within_5pct"] is True
         for row in summary["table"]:
             assert row["unbounded"] is False
             assert row["relative_gap"] <= 0.05
+
+    def test_limit_beyond_sweep_cap_is_unbounded_null(self, tmp_path):
+        # 1 uV puts both closed-form limits far past the default sweep cap:
+        # the sweep stops at the cap, reports it unbounded with a null gap,
+        # and does not count it as agreeing with the closed form.
+        summary = self._strict_summary(small_cfg(), tmp_path, 1e-6)
+        assert summary["within_5pct"] is False
+        for row in summary["table"]:
+            assert row["unbounded"] is True
+            assert row["relative_gap"] is None
+            assert row["n_max_empirical"] < row["n_max_analytic"]
 
 
 class TestSchemeCompare:
