@@ -294,11 +294,13 @@ def _simulated_unwanted(spec: CrossbarSpec, cells_base: DeviceParams, p: Mismatc
     trials average random equal-probable patterns (the closed form models
     the expected composition), keeping the per-target worst case.
     """
-    var0 = VariationSpec(relative_sigma=0.0, seed=0)
     spec_n = dataclasses.replace(spec, rows=n, cols=1, bank_width=None, r_wire=0.0)
-    mism = BiasMismatch.uniform(spec_n, p.delta_v, selected_row=0)
+    cells = CellGrid.sample(n, 1, cells_base, VariationSpec(relative_sigma=0.0, seed=0))
+    bias = row_read_bias(spec_n, 0, BiasMismatch.uniform(spec_n, p.delta_v, selected_row=0))
+    wanted_lrs, wanted_hrs = ideal_state_currents(cells_base, spec.v_dd - spec.v_b)
     worst = 0.0
     for target in (LRS, HRS):
+        wanted = wanted_lrs if target == LRS else wanted_hrs
         excursions = []
         for t in range(max(1, trials)):
             if trials <= 1:
@@ -307,10 +309,8 @@ def _simulated_unwanted(spec: CrossbarSpec, cells_base: DeviceParams, p: Mismatc
                 rng = np.random.default_rng(np.random.SeedSequence((master_seed, n, t, target)))
                 pattern = (rng.random((n, 1)) < 0.5).astype(np.int8)
                 pattern[0, 0] = target
-            cells = CellGrid.sample(n, 1, cells_base, var0)
-            net = build_network(spec_n, pattern, cells, row_read_bias(spec_n, 0, mism))
+            net = build_network(spec_n, pattern, cells, bias)
             sensed = bitline_currents(net, solve(net, opts))[0]
-            wanted = ideal_state_currents(cells_base, spec.v_dd - spec.v_b)[0 if target == LRS else 1]
             excursions.append(abs(sensed - wanted))
         limit = p.i_max if target == LRS else p.i_min
         worst = max(worst, float(np.mean(excursions)) / limit)

@@ -12,8 +12,10 @@ resistance) or through an explicit terminal node and series branch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .devices import CellGrid
 
@@ -116,19 +118,94 @@ FLOATING = Floating()
 WordlineSource = Drive | Clamp | Floating
 BitlineTermination = Clamp | ResistiveLoad | Floating
 
+# Per-line bias kinds recorded in BiasConfig.
+BIAS_FLOATING = 0
+BIAS_DRIVE = 1
+BIAS_CLAMP = 2
+BIAS_LOAD = 3
 
-@dataclass(frozen=True)
+
+def _term_code(term) -> tuple[int, float, float]:
+    """(kind, potential, load resistance) of one line term object."""
+    if isinstance(term, Floating):
+        return BIAS_FLOATING, np.nan, np.nan
+    if isinstance(term, Drive):
+        return BIAS_DRIVE, term.v, np.nan
+    if isinstance(term, Clamp):
+        return BIAS_CLAMP, term.v, np.nan
+    if isinstance(term, ResistiveLoad):
+        return BIAS_LOAD, term.to, term.r_s
+    raise TypeError(f"unsupported line attachment: {type(term).__name__}")
+
+
+def line_arrays(count: int, term) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kind, potential and load arrays of ``count`` lines all given ``term``."""
+    kind, v, r = _term_code(term)
+    return np.full(count, kind, dtype=np.int8), np.full(count, v), np.full(count, r)
+
+
+@dataclass(frozen=True, eq=False)
 class BiasConfig:
-    """Per-line boundary conditions of one read configuration."""
+    """Per-line boundary conditions of one read configuration, as arrays.
 
-    wordline_sources: tuple[WordlineSource, ...]
-    bitline_terms: tuple[BitlineTermination, ...]
+    ``*_kind`` holds one ``BIAS_*`` code per line, ``*_v`` the line's
+    source potential (the clamp or drive voltage, or the far end of a
+    load; NaN where the line floats) and ``*_r`` the load resistance r_s
+    (NaN on every line that is not a load).  ``from_terms`` builds one from
+    per-line term objects.
+    """
+
+    wl_kind: np.ndarray
+    wl_v: np.ndarray
+    wl_r: np.ndarray
+    bl_kind: np.ndarray
+    bl_v: np.ndarray
+    bl_r: np.ndarray
 
     def __post_init__(self):
-        anchored = any(not isinstance(s, Floating) for s in self.wordline_sources)
-        anchored = anchored or any(not isinstance(t, Floating) for t in self.bitline_terms)
-        if not anchored:
+        for side in ("wl", "bl"):
+            kind = np.asarray(getattr(self, f"{side}_kind"))
+            v = np.array(getattr(self, f"{side}_v"), dtype=float)
+            r = np.array(getattr(self, f"{side}_r"), dtype=float)
+            if kind.ndim != 1 or v.shape != kind.shape or r.shape != kind.shape:
+                raise ValueError(
+                    f"{side}_kind, {side}_v and {side}_r must be 1-D arrays of one "
+                    f"length, got shapes {kind.shape}, {v.shape}, {r.shape}"
+                )
+            if not np.isin(kind, (BIAS_FLOATING, BIAS_DRIVE, BIAS_CLAMP, BIAS_LOAD)).all():
+                raise ValueError(f"{side}_kind entries must be BIAS_* codes, got {np.unique(kind)}")
+            kind = kind.astype(np.int8)
+            bad = np.where(kind == BIAS_FLOATING, ~np.isnan(v), ~np.isfinite(v))
+            if bad.any():
+                raise ValueError(
+                    f"{side}_v must be finite on attached lines and NaN on floating "
+                    f"ones: line {int(np.flatnonzero(bad)[0])} has {v[bad][0]}"
+                )
+            bad = np.where(kind == BIAS_LOAD, ~(np.isfinite(r) & (r > 0)), ~np.isnan(r))
+            if bad.any():
+                raise ValueError(
+                    f"{side}_r must be finite and > 0 on loads and NaN elsewhere: "
+                    f"line {int(np.flatnonzero(bad)[0])} has {r[bad][0]}"
+                )
+            for name, arr in ((f"{side}_kind", kind), (f"{side}_v", v), (f"{side}_r", r)):
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
+        if (self.wl_kind == BIAS_FLOATING).all() and (self.bl_kind == BIAS_FLOATING).all():
             raise ValueError("bias configuration leaves every line floating (ungrounded network)")
+
+    @classmethod
+    def from_terms(
+        cls,
+        wordline_sources: tuple[WordlineSource, ...],
+        bitline_terms: tuple[BitlineTermination, ...],
+    ) -> BiasConfig:
+        """Bias from one term object (``Drive``, ``Clamp``, ``ResistiveLoad``
+        or ``FLOATING``) per wordline and per bitline."""
+        wl, bl = (
+            np.array([_term_code(t) for t in terms], dtype=float).reshape(-1, 3)
+            for terms in (wordline_sources, bitline_terms)
+        )
+        return cls(wl[:, 0], wl[:, 1], wl[:, 2], bl[:, 0], bl[:, 1], bl[:, 2])
 
 
 @dataclass(frozen=True)
@@ -160,12 +237,16 @@ def row_read_bias(spec: CrossbarSpec, selected_row: int, mismatch: BiasMismatch 
     bl_dv = mismatch.bitline_dv if mismatch is not None else np.zeros(spec.cols)
     if len(wl_dv) != spec.rows or len(bl_dv) != spec.cols:
         raise ValueError("mismatch offset lengths must match array dimensions")
-    wordlines = tuple(
-        Drive(spec.v_dd) if i == selected_row else Clamp(spec.v_b + float(wl_dv[i]))
-        for i in range(spec.rows)
+    wl_kind = np.full(spec.rows, BIAS_CLAMP, dtype=np.int8)
+    wl_kind[selected_row] = BIAS_DRIVE
+    wl_v = spec.v_b + np.asarray(wl_dv, dtype=float)
+    wl_v[selected_row] = spec.v_dd
+    return BiasConfig(
+        wl_kind, wl_v, np.full(spec.rows, np.nan),
+        np.full(spec.cols, BIAS_CLAMP, dtype=np.int8),
+        spec.v_b + np.asarray(bl_dv, dtype=float),
+        np.full(spec.cols, np.nan),
     )
-    bitlines = tuple(Clamp(spec.v_b + float(bl_dv[j])) for j in range(spec.cols))
-    return BiasConfig(wordlines, bitlines)
 
 
 def conventional_cell_bias(
@@ -178,9 +259,11 @@ def conventional_cell_bias(
     lines unterminated by default (``unselected`` sweeps grounded variants)."""
     if not (0 <= i < spec.rows and 0 <= j < spec.cols):
         raise IndexError(f"cell ({i}, {j}) out of range for {spec.rows}x{spec.cols}")
-    wordlines = tuple(Drive(spec.v_dd) if r == i else unselected for r in range(spec.rows))
-    bitlines = tuple(Clamp(0.0) if c == j else unselected for c in range(spec.cols))
-    return BiasConfig(wordlines, bitlines)
+    wl_kind, wl_v, wl_r = line_arrays(spec.rows, unselected)
+    bl_kind, bl_v, bl_r = line_arrays(spec.cols, unselected)
+    wl_kind[i], wl_v[i], wl_r[i] = BIAS_DRIVE, spec.v_dd, np.nan
+    bl_kind[j], bl_v[j], bl_r[j] = BIAS_CLAMP, 0.0, np.nan
+    return BiasConfig(wl_kind, wl_v, wl_r, bl_kind, bl_v, bl_r)
 
 
 @dataclass(frozen=True)
@@ -267,7 +350,7 @@ def load_pattern_packed(path) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LineAttachment:
-    """How one line end is tied to the boundary."""
+    """How one line end is tied to the boundary (one entry of ``LineAttachments``)."""
 
     kind: int  # TERM_FLOATING / TERM_DIRECT / TERM_RESISTIVE
     attach_node: int  # rail node at the line end
@@ -282,14 +365,43 @@ class LineAttachment:
         return self.terminal_node if self.kind == TERM_RESISTIVE else self.attach_node
 
 
+@dataclass(frozen=True, eq=False)
+class LineAttachments:
+    """How one end of every line in a set is tied to the boundary, one
+    array entry per line; the fields are those of ``LineAttachment``, which
+    ``self[k]`` returns for line k."""
+
+    kind: np.ndarray
+    attach_node: np.ndarray
+    terminal_node: np.ndarray
+    conductance: np.ndarray
+    voltage: np.ndarray
+
+    def __len__(self) -> int:
+        return self.kind.size
+
+    def __getitem__(self, k: int) -> LineAttachment:
+        return LineAttachment(
+            int(self.kind[k]), int(self.attach_node[k]), int(self.terminal_node[k]),
+            float(self.conductance[k]), float(self.voltage[k]),
+        )
+
+    @property
+    def control_node(self) -> np.ndarray:
+        """Per line, the node whose net current is the line's boundary
+        current: the terminal of a series branch, else the line end."""
+        return np.where(self.kind == TERM_RESISTIVE, self.terminal_node, self.attach_node)
+
+
 @dataclass(frozen=True)
 class Network:
     """Node-branch description of one biased crossbar.
 
-    Node order: wordline rail nodes, then bitline rail nodes, then any
-    terminal nodes appended by resistive attachments.  Branches are wire
-    segments plus boundary resistors (``wire_*`` arrays) and one device
-    per cell (``dev_*`` arrays, cell-major order).
+    Node order: wordline rail nodes, then bitline rail nodes, then the
+    terminal nodes of resistive attachments (near wordline ends, far
+    wordline ends, then bitlines, each in line order).  Branches are wire
+    segments plus boundary resistors (``wire_*`` arrays, in the same order)
+    and one device per cell (``dev_*`` arrays, cell-major order).
     """
 
     spec: CrossbarSpec
@@ -305,10 +417,11 @@ class Network:
     dev_b: np.ndarray
     wl_nodes: np.ndarray  # (M, N) wordline rail node per cell
     bl_nodes: np.ndarray  # (M, N) bitline rail node per cell
-    wl_attach: tuple[LineAttachment, ...]
-    bl_attach: tuple[LineAttachment, ...]
-    # far-end wordline attachments (double-sided clamping only; None otherwise)
-    wl_attach_far: tuple[LineAttachment | None, ...] = ()
+    wl_attach: LineAttachments  # decoder (column 0) end of each wordline
+    bl_attach: LineAttachments  # sense (row M-1) end of each bitline
+    # far (column N-1) end of each wordline: attached under double-sided
+    # clamping of a driven or clamped line, TERM_FLOATING otherwise
+    wl_attach_far: LineAttachments
 
     @property
     def n_device_branches(self) -> int:
@@ -322,9 +435,20 @@ class Network:
 
     @property
     def n_boundary_attachments(self) -> int:
-        attaches = list(self.wl_attach) + list(self.bl_attach)
-        attaches += [a for a in self.wl_attach_far if a is not None]
-        return sum(1 for a in attaches if a.kind != TERM_FLOATING)
+        return sum(int((a.kind != TERM_FLOATING).sum())
+                   for a in (self.wl_attach, self.wl_attach_far, self.bl_attach))
+
+    @cached_property
+    def incidence(self) -> sp.csr_matrix:
+        """Signed node-by-branch incidence, wires first, then devices: +1 at
+        a branch's ``a`` node, -1 at its ``b`` node."""
+        a = np.concatenate([self.wire_a, self.dev_a])
+        b = np.concatenate([self.wire_b, self.dev_b])
+        k = np.arange(a.size)
+        vals = np.concatenate([np.ones(a.size), -np.ones(a.size)])
+        return sp.csr_matrix(
+            (vals, (np.concatenate([a, b]), np.concatenate([k, k]))), shape=(self.n_nodes, a.size)
+        )
 
     def node_name(self, idx: int) -> str:
         m, n = self.spec.rows, self.spec.cols
@@ -339,12 +463,12 @@ class Network:
                 return f"wl[{idx}]"
             if idx < m + n:
                 return f"bl[{idx - m}]"
-        for i, a in enumerate(self.wl_attach):
-            if a.terminal_node == idx:
-                return f"wl[{i}].terminal"
-        for j, a in enumerate(self.bl_attach):
-            if a.terminal_node == idx:
-                return f"bl[{j}].terminal"
+        for line, attach, end in (("wl", self.wl_attach, "terminal"),
+                                  ("wl", self.wl_attach_far, "terminal_far"),
+                                  ("bl", self.bl_attach, "terminal")):
+            hit = np.flatnonzero(attach.terminal_node == idx)
+            if hit.size:
+                return f"{line}[{hit[0]}].{end}"
         return f"node[{idx}]"
 
 
@@ -359,13 +483,14 @@ def build_network(
     Wordline segments chain left to right, bitline segments top to bottom;
     the device of cell (i, j) joins its wordline node to its bitline node.
     Construction is deterministic: identical inputs give identical node
-    orderings.
+    orderings.  Its cost is a fixed number of array operations, whatever
+    the number of lines.
     """
     m, n = spec.rows, spec.cols
     pattern = check_pattern(spec, pattern)
     if cells.shape != (m, n):
         raise ValueError(f"cell grid shape {cells.shape} does not match spec {m}x{n}")
-    if len(bias.wordline_sources) != m or len(bias.bitline_terms) != n:
+    if bias.wl_kind.size != m or bias.bl_kind.size != n:
         raise ValueError("bias configuration dimensions do not match the array")
 
     if spec.r_wire > 0:
@@ -386,67 +511,57 @@ def build_network(
         n_rail = m + n
         wire_a, wire_b, wire_g = [], [], []
 
-    fixed_mask = [False] * n_rail
-    fixed_voltage = [np.nan] * n_rail
-    extra_a: list[int] = []
-    extra_b: list[int] = []
-    extra_g: list[float] = []
-    next_node = n_rail
-
-    def attach(end_node: int, term) -> LineAttachment:
-        nonlocal next_node
-        if isinstance(term, Floating):
-            return LineAttachment(TERM_FLOATING, end_node)
-        if isinstance(term, (Drive, Clamp)):
-            if spec.r_driver == 0:
-                fixed_mask[end_node] = True
-                fixed_voltage[end_node] = term.v
-                return LineAttachment(TERM_DIRECT, end_node, voltage=term.v)
-            g = 1.0 / spec.r_driver
-            src = term.v
-        elif isinstance(term, ResistiveLoad):
-            g = 1.0 / term.r_s
-            src = term.to
-        else:
-            raise TypeError(f"unsupported line attachment: {type(term).__name__}")
-        t = next_node
-        next_node += 1
-        fixed_mask.append(True)
-        fixed_voltage.append(src)
-        extra_a.append(end_node)
-        extra_b.append(t)
-        extra_g.append(g)
-        return LineAttachment(TERM_RESISTIVE, end_node, terminal_node=t, conductance=g, voltage=src)
-
-    wl_attach = tuple(attach(int(wl_nodes[i, 0]), bias.wordline_sources[i]) for i in range(m))
+    # Every line end, in terminal order: near wordline ends, far wordline
+    # ends (double-sided clamping repeats drives and clamps there, not
+    # loads), then bitline ends.
     if spec.double_sided_clamps and n > 1:
-        wl_attach_far = tuple(
-            attach(int(wl_nodes[i, n - 1]), bias.wordline_sources[i])
-            if isinstance(bias.wordline_sources[i], (Drive, Clamp)) else None
-            for i in range(m)
-        )
+        far_kind = np.where(bias.wl_kind == BIAS_LOAD, BIAS_FLOATING, bias.wl_kind)
     else:
-        wl_attach_far = tuple(None for _ in range(m))
-    bl_attach = tuple(attach(int(bl_nodes[m - 1, j]), bias.bitline_terms[j]) for j in range(n))
+        far_kind = np.full(m, BIAS_FLOATING)
+    node = np.concatenate([wl_nodes[:, 0], wl_nodes[:, n - 1], bl_nodes[m - 1, :]])
+    kind = np.concatenate([bias.wl_kind, far_kind, bias.bl_kind])
+    v = np.concatenate([bias.wl_v, bias.wl_v, bias.bl_v])
+    r = np.concatenate([bias.wl_r, bias.wl_r, bias.bl_r])
+    voltage = np.where(kind == BIAS_FLOATING, np.nan, v)
+    source = (kind == BIAS_DRIVE) | (kind == BIAS_CLAMP)
+    if spec.r_driver == 0:
+        direct, resistive, g = source, kind == BIAS_LOAD, 1.0 / r
+    else:
+        direct = np.zeros(kind.size, dtype=bool)
+        resistive = kind != BIAS_FLOATING
+        g = np.where(source, 1.0 / spec.r_driver, 1.0 / r)
+    terminal = np.where(resistive, n_rail + np.cumsum(resistive) - 1, -1)
+    n_nodes = n_rail + int(resistive.sum())
 
-    if extra_a:
-        wire_a.append(np.array(extra_a, dtype=np.int64))
-        wire_b.append(np.array(extra_b, dtype=np.int64))
-        wire_g.append(np.array(extra_g, dtype=float))
+    fixed_mask = np.zeros(n_nodes, dtype=bool)
+    fixed_voltage = np.full(n_nodes, np.nan)
+    fixed_mask[node[direct]] = True
+    fixed_voltage[node[direct]] = voltage[direct]
+    fixed_mask[n_rail:] = True
+    fixed_voltage[n_rail:] = voltage[resistive]
+    wire_a.append(node[resistive])
+    wire_b.append(terminal[resistive])
+    wire_g.append(g[resistive])
 
-    def cat(parts, dtype):
-        return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
+    term = np.select([direct, resistive], [TERM_DIRECT, TERM_RESISTIVE], TERM_FLOATING)
+    fields = (term.astype(np.int8), node, terminal, np.where(resistive, g, 0.0), voltage)
+    for arr in fields:
+        arr.setflags(write=False)
+    bounds = (0, m, 2 * m, 2 * m + n)
+    wl_attach, wl_attach_far, bl_attach = (
+        LineAttachments(*(f[lo:hi] for f in fields)) for lo, hi in zip(bounds, bounds[1:])
+    )
 
     net = Network(
         spec=spec,
         pattern=pattern,
         cells=cells,
-        n_nodes=next_node,
-        fixed_mask=np.array(fixed_mask, dtype=bool),
-        fixed_voltage=np.array(fixed_voltage, dtype=float),
-        wire_a=cat(wire_a, np.int64),
-        wire_b=cat(wire_b, np.int64),
-        wire_g=cat(wire_g, float),
+        n_nodes=n_nodes,
+        fixed_mask=fixed_mask,
+        fixed_voltage=fixed_voltage,
+        wire_a=np.concatenate(wire_a),
+        wire_b=np.concatenate(wire_b),
+        wire_g=np.concatenate(wire_g),
         dev_a=wl_nodes.ravel().copy(),
         dev_b=bl_nodes.ravel().copy(),
         wl_nodes=wl_nodes,

@@ -20,18 +20,20 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .crossbar import (
+    BIAS_DRIVE,
     FLOATING,
+    TERM_FLOATING,
     BiasConfig,
     BiasMismatch,
     Clamp,
     CrossbarSpec,
-    Drive,
     Floating,
     Network,
     ResistiveLoad,
     build_network,
     check_pattern,
     conventional_cell_bias,
+    line_arrays,
     row_read_bias,
 )
 from .devices import LRS, CellGrid, DeviceParams, ideal_state_currents
@@ -202,10 +204,10 @@ def read_cell_conventional(
 
 
 def _voltage_row_bias(spec: CrossbarSpec, i: int, term) -> BiasConfig:
-    wordlines = tuple(
-        Drive(spec.v_dd) if r == i else Clamp(spec.v_b) for r in range(spec.rows)
-    )
-    return BiasConfig(wordlines, tuple(term for _ in range(spec.cols)))
+    """Row i driven, other wordlines clamped to v_b, every bitline given ``term``."""
+    wl_kind, wl_v, wl_r = line_arrays(spec.rows, Clamp(spec.v_b))
+    wl_kind[i], wl_v[i] = BIAS_DRIVE, spec.v_dd
+    return BiasConfig(wl_kind, wl_v, wl_r, *line_arrays(spec.cols, term))
 
 
 def read_row_floating(
@@ -241,8 +243,7 @@ def read_row_resistive(
     pattern = check_pattern(spec, pattern)
     net = build_network(spec, pattern, cells, _voltage_row_bias(spec, i, ResistiveLoad(r_s, to)))
     sol = solve(net, opts)
-    attach = np.array([a.attach_node for a in net.bl_attach])
-    voltages = sol.node_voltages[attach] - to
+    voltages = sol.node_voltages[net.bl_attach.attach_node] - to
     return _make_result(i, voltages, "V", threshold, pattern[i])
 
 
@@ -258,12 +259,11 @@ def _line_voltages(net: Network, wl_v: np.ndarray, bl_v: np.ndarray) -> np.ndarr
     of ``wl_v`` (wordlines x solves) or ``bl_v`` (bitlines x solves), both
     ends of a double-sided wordline alike, and zeros elsewhere."""
     V = np.zeros((net.n_nodes, wl_v.shape[1]))
-    V[[a.control_node for a in net.wl_attach]] = wl_v
-    far = [(i, a.control_node) for i, a in enumerate(net.wl_attach_far) if a is not None]
-    if far:
-        rows, nodes = zip(*far)
-        V[list(nodes)] = wl_v[list(rows)]
-    V[[a.control_node for a in net.bl_attach]] = bl_v
+    V[net.wl_attach.control_node] = wl_v
+    far = net.wl_attach_far
+    on = far.kind != TERM_FLOATING
+    V[far.control_node[on]] = wl_v[on]
+    V[net.bl_attach.control_node] = bl_v
     return V
 
 
@@ -294,7 +294,7 @@ class RowReadSession:
         self.net = build_network(spec, self.pattern, cells, row_read_bias(spec, 0, self.mismatch))
         self.system = ReducedSystem(self.net)
         self.system.factor(cells.active_conductances(self.pattern, at_voltage=0.0))
-        self._bl_ctrl = np.array([a.control_node for a in self.net.bl_attach])
+        self._bl_ctrl = self.net.bl_attach.control_node
 
     def solve_rows(self, rows, v_b: float | None = None, v_dd: float | None = None) -> np.ndarray:
         """Full node-voltage matrix (n_nodes x len(rows)), one column per row read.
@@ -342,11 +342,11 @@ class RowReadSession:
 
     def bitline_currents_from(self, V: np.ndarray) -> np.ndarray:
         """Per-column sense currents for each solved column of V (cols x N)."""
-        return -node_imbalance(self.net, V, self.system.E)[self._bl_ctrl].T
+        return -node_imbalance(self.net, V)[self._bl_ctrl].T
 
     def branch_power_from(self, V: np.ndarray) -> np.ndarray:
         """Total branch dissipation of each solved column of V (watts)."""
-        dv = self.system.E.T @ V
+        dv = self.net.incidence.T @ V
         return (dv * branch_currents_at(self.net, dv)).sum(axis=0)
 
     def row_currents(self, rows) -> np.ndarray:
@@ -429,7 +429,7 @@ class ConventionalSession:
         else:
             self.system = ReducedSystem(self.net)
             self.system.factor(g_dev)
-            self._bl_ctrl = np.array([a.control_node for a in self.net.bl_attach])
+            self._bl_ctrl = self.net.bl_attach.control_node
 
     def currents(self, cells_ij) -> np.ndarray:
         """Sensed current for each (i, j) target, batched."""
@@ -473,4 +473,4 @@ class ConventionalSession:
         bl_v = np.full((self.spec.cols, len(chunk)), self.unselected.v)
         bl_v[jj, k] = 0.0
         V, _ = self.system.solve(_line_voltages(self.net, wl_v, bl_v), self.opts)
-        return -node_imbalance(self.net, V, self.system.E)[self._bl_ctrl[jj], k]
+        return -node_imbalance(self.net, V)[self._bl_ctrl[jj], k]

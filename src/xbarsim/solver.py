@@ -77,18 +77,6 @@ class Solution:
         return np.concatenate([self.wire_currents, self.device_currents])
 
 
-def incidence(net: Network) -> sp.csr_matrix:
-    """Signed node-by-branch incidence, wires first, then devices: +1 at a
-    branch's ``a`` node, -1 at its ``b`` node."""
-    a = np.concatenate([net.wire_a, net.dev_a])
-    b = np.concatenate([net.wire_b, net.dev_b])
-    k = np.arange(a.size)
-    vals = np.concatenate([np.ones(a.size), -np.ones(a.size)])
-    return sp.csr_matrix(
-        (vals, (np.concatenate([a, b]), np.concatenate([k, k]))), shape=(net.n_nodes, a.size)
-    )
-
-
 def assemble_admittance(net: Network, device_g: np.ndarray) -> sp.csr_matrix:
     """Full nodal conductance matrix with the given per-device conductances."""
     g = np.asarray(device_g, dtype=float).ravel()
@@ -106,6 +94,8 @@ def check_grounded(net: Network) -> None:
             "network has no fixed-voltage node (all lines floating)",
             component_nodes=tuple(range(min(net.n_nodes, 8))),
         )
+    if net.fixed_mask.all():
+        return  # every component holds a fixed node
     n = net.n_nodes
     a = np.concatenate([net.wire_a, net.dev_a])
     b = np.concatenate([net.wire_b, net.dev_b])
@@ -130,8 +120,8 @@ def _device_dv(net: Network, v: np.ndarray) -> np.ndarray:
 
 
 def branch_currents_at(net: Network, dv: np.ndarray) -> np.ndarray:
-    """Current through each branch, in incidence order, at branch voltages
-    ``dv`` (a vector, or a matrix with one column per solve)."""
+    """Current through each branch, in ``Network.incidence`` order, at
+    branch voltages ``dv`` (a vector, or a matrix with one column per solve)."""
     nw = net.wire_a.size
     g = net.wire_g if dv.ndim == 1 else net.wire_g[:, None]
     d = dv[nw:]
@@ -139,17 +129,16 @@ def branch_currents_at(net: Network, dv: np.ndarray) -> np.ndarray:
     return np.concatenate([g * dv[:nw], i_dev.reshape(d.shape)])
 
 
-def node_imbalance(net: Network, v: np.ndarray, E: sp.csr_matrix | None = None) -> np.ndarray:
+def node_imbalance(net: Network, v: np.ndarray) -> np.ndarray:
     """Net current leaving each node at voltages v (a vector, or a matrix
-    with one column per solve); ``E`` is the network's ``incidence``.
+    with one column per solve).
 
     Branch voltage differences are formed before any product, so float64
     keeps nA device currents exact beside the large wire currents: at
     128x128 this agrees with a long-double evaluation to below 1e-20 A,
     where the assembled ``G @ v`` is off by 4e-17 A.
     """
-    if E is None:
-        E = incidence(net)
+    E = net.incidence
     return E @ branch_currents_at(net, E.T @ v)
 
 
@@ -163,9 +152,8 @@ def _initial_voltages(net: Network) -> np.ndarray:
 class ReducedSystem:
     """The nodal system of one network, reduced to its unknown nodes.
 
-    Owns the fixed/unknown partition, the branch incidence, the LU factor
-    of the unknown block and the one refinement rule that finishes every
-    solve.  Voltages are full node vectors, or matrices with one column per
+    Owns the fixed/unknown partition, the LU factor of the unknown block
+    and the one refinement rule that finishes every solve.  Voltages are full node vectors, or matrices with one column per
     solve: fixed entries are read, unknown entries are solved for.
     """
 
@@ -173,7 +161,6 @@ class ReducedSystem:
         check_grounded(net)
         self.net = net
         self.unknown = np.flatnonzero(~net.fixed_mask)
-        self.E = incidence(net)
         self.lu = None
 
     def factor(self, device_g: np.ndarray) -> None:
@@ -184,7 +171,7 @@ class ReducedSystem:
 
     def imbalance(self, V: np.ndarray) -> np.ndarray:
         """Net current leaving each unknown node."""
-        return node_imbalance(self.net, V, self.E)[self.unknown]
+        return node_imbalance(self.net, V)[self.unknown]
 
     def correct(self, V: np.ndarray) -> np.ndarray:
         """Refine the unknowns of V in place against the true residual.
@@ -222,7 +209,7 @@ class ReducedSystem:
 
 
 def _finish(system: ReducedSystem, v: np.ndarray, residual: float, iterations: int) -> Solution:
-    i = branch_currents_at(system.net, system.E.T @ v)
+    i = branch_currents_at(system.net, system.net.incidence.T @ v)
     nw = system.net.wire_a.size
     return Solution(v, i[:nw], i[nw:], residual, iterations)
 
@@ -293,29 +280,27 @@ def bitline_currents(net: Network, sol: Solution, columns=None) -> np.ndarray:
     ``columns`` restricts the query (needed when other bitlines float);
     querying a floating column is an error since it has no sense path.
     """
-    leaving = node_imbalance(net, sol.node_voltages)
-    columns = range(net.spec.cols) if columns is None else list(columns)
-    out = np.empty(len(columns))
-    for k, j in enumerate(columns):
-        att = net.bl_attach[j]
-        if att.kind == TERM_FLOATING:
-            raise ValueError(f"bitline {j} is floating: no sense path to measure current")
-        out[k] = -leaving[att.control_node]
-    return out
+    att = net.bl_attach
+    columns = (np.arange(net.spec.cols) if columns is None
+               else np.asarray(list(columns), dtype=np.int64))
+    floating = att.kind[columns] == TERM_FLOATING
+    if floating.any():
+        j = int(columns[floating][0])
+        raise ValueError(f"bitline {j} is floating: no sense path to measure current")
+    return -node_imbalance(net, sol.node_voltages)[att.control_node[columns]]
 
 
 def wordline_source_currents(net: Network, sol: Solution) -> np.ndarray:
     """Current each wordline source delivers into the network (NaN if
-    floating); both line ends are summed under double-sided clamping."""
+    floating); both line ends are summed under double-sided clamping, unless
+    they share one control node (zero wire and driver resistance)."""
     leaving = node_imbalance(net, sol.node_voltages)
+    near, far = net.wl_attach, net.wl_attach_far
     out = np.full(net.spec.rows, np.nan)
-    for i, att in enumerate(net.wl_attach):
-        if att.kind == TERM_FLOATING:
-            continue
-        out[i] = leaving[att.control_node]
-        far = net.wl_attach_far[i] if net.wl_attach_far else None
-        if far is not None and far.kind != TERM_FLOATING:
-            out[i] += leaving[far.control_node]
+    on = near.kind != TERM_FLOATING
+    out[on] = leaving[near.control_node[on]]
+    both = on & (far.kind != TERM_FLOATING) & (far.control_node != near.control_node)
+    out[both] += leaving[far.control_node[both]]
     return out
 
 

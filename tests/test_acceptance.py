@@ -18,7 +18,6 @@ from xbarsim.analytics import (
 )
 from xbarsim.config import CrossbarConfig, ExperimentConfig, RunConfig, VariationConfig
 from xbarsim.crossbar import (
-    BiasConfig,
     Clamp,
     CrossbarSpec,
     build_network,
@@ -259,10 +258,7 @@ def test_criterion_8_physics_invariant_suite():
                 or sol.node_voltages.max() > fixed.max() + 1e-12):
             problems.append("maximum principle violated")
         delta = 0.17
-        shifted = BiasConfig(
-            tuple(type(s)(s.v + delta) if hasattr(s, "v") else s for s in bias.wordline_sources),
-            tuple(type(t)(t.v + delta) if hasattr(t, "v") else t for t in bias.bitline_terms),
-        )
+        shifted = dataclasses.replace(bias, wl_v=bias.wl_v + delta, bl_v=bias.bl_v + delta)
         sol2 = solve(build_network(spec, pattern, cells, shifted))
         if np.abs(sol.branch_currents - sol2.branch_currents).max() > 1e-12:
             problems.append("translation invariance violated")

@@ -1,13 +1,26 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xbarsim.crossbar import (
+    BIAS_CLAMP,
+    BIAS_DRIVE,
+    BIAS_FLOATING,
+    BIAS_LOAD,
     FLOATING,
+    TERM_DIRECT,
+    TERM_FLOATING,
+    TERM_RESISTIVE,
     BiasConfig,
     BiasMismatch,
     Clamp,
     CrossbarSpec,
     Drive,
+    Floating,
+    LineAttachment,
     ResistiveLoad,
     bank_partition,
     build_network,
@@ -20,7 +33,7 @@ from xbarsim.crossbar import (
     save_pattern_packed,
 )
 from xbarsim.devices import CellGrid, LinearDeviceParams, VariationSpec
-from xbarsim.solver import assemble_admittance, bitline_currents, solve
+from xbarsim.solver import assemble_admittance, bitline_currents, dump_system, solve
 
 NOVAR = VariationSpec(0.0, 0)
 
@@ -47,8 +60,10 @@ class TestRowReadBias:
     def test_two_row_example(self):
         spec = CrossbarSpec(rows=2, cols=2)
         bias = row_read_bias(spec, 0)
-        assert bias.wordline_sources == (Drive(1.2), Clamp(0.7))
-        assert bias.bitline_terms == (Clamp(0.7), Clamp(0.7))
+        assert bias.wl_kind.tolist() == [BIAS_DRIVE, BIAS_CLAMP]
+        assert bias.wl_v.tolist() == [1.2, 0.7]
+        assert bias.bl_kind.tolist() == [BIAS_CLAMP, BIAS_CLAMP]
+        assert bias.bl_v.tolist() == [0.7, 0.7]
 
     def test_out_of_range_rejected(self):
         spec = CrossbarSpec(rows=2, cols=2)
@@ -61,15 +76,17 @@ class TestRowReadBias:
         spec = CrossbarSpec(rows=2, cols=2)
         mism = BiasMismatch(np.zeros(2), np.array([0.0, 2e-3]))
         bias = row_read_bias(spec, 0, mism)
-        assert bias.bitline_terms[1] == Clamp(0.702)
+        assert bias.bl_kind[1] == BIAS_CLAMP and bias.bl_v[1] == 0.702
 
 
 class TestConventionalBias:
     def test_definition(self):
         spec = CrossbarSpec(rows=2, cols=2)
         bias = conventional_cell_bias(spec, 0, 0)
-        assert bias.wordline_sources == (Drive(1.2), FLOATING)
-        assert bias.bitline_terms == (Clamp(0.0), FLOATING)
+        assert bias.wl_kind.tolist() == [BIAS_DRIVE, BIAS_FLOATING]
+        assert bias.wl_v[0] == 1.2 and np.isnan(bias.wl_v[1])
+        assert bias.bl_kind.tolist() == [BIAS_CLAMP, BIAS_FLOATING]
+        assert bias.bl_v[0] == 0.0 and np.isnan(bias.bl_v[1])
 
     def test_out_of_range(self):
         spec = CrossbarSpec(rows=2, cols=2)
@@ -156,11 +173,13 @@ class TestNetworkStructure:
         b = build_network(spec, pattern, cells, row_read_bias(spec, 2))
         assert np.array_equal(a.wire_a, b.wire_a)
         assert np.array_equal(a.fixed_voltage[a.fixed_mask], b.fixed_voltage[b.fixed_mask])
-        assert a.wl_attach == b.wl_attach
+        for field in ("kind", "attach_node", "terminal_node", "conductance", "voltage"):
+            assert np.array_equal(getattr(a.wl_attach, field), getattr(b.wl_attach, field),
+                                  equal_nan=True)
 
     def test_all_floating_rejected(self):
         with pytest.raises(ValueError, match="floating"):
-            BiasConfig((FLOATING, FLOATING), (FLOATING, FLOATING))
+            BiasConfig.from_terms((FLOATING, FLOATING), (FLOATING, FLOATING))
 
     def test_dimension_mismatch_rejected(self):
         spec = CrossbarSpec(rows=2, cols=2)
@@ -206,7 +225,7 @@ class TestIdealRailLimit:
         rng = np.random.default_rng(2)
         wl_v = 0.4 + 0.8 * rng.random(4)
         bl_v = 0.2 + 0.3 * rng.random(3)
-        bias = BiasConfig(
+        bias = BiasConfig.from_terms(
             tuple(Clamp(float(v)) for v in wl_v),
             tuple(Clamp(float(v)) for v in bl_v),
         )
@@ -246,3 +265,187 @@ class TestPatternIO:
 def test_resistive_load_validation():
     with pytest.raises(ValueError):
         ResistiveLoad(r_s=0.0)
+
+
+class TestBiasInputChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["wordline", "bitline"])
+    def test_non_finite_mismatch_offset_rejected(self, bad, side):
+        spec = CrossbarSpec(rows=3, cols=2)
+        wl_dv, bl_dv = np.zeros(3), np.zeros(2)
+        (wl_dv if side == "wordline" else bl_dv)[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            row_read_bias(spec, 0, BiasMismatch(wl_dv, bl_dv))
+
+    def test_non_finite_hand_written_drive_rejected(self):
+        with pytest.raises(ValueError):
+            BiasConfig.from_terms((Drive(np.inf), Clamp(0.7)), (Clamp(0.7),))
+        bias = BiasConfig.from_terms((Drive(1.2), Clamp(0.7)), (Clamp(0.7),))
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(bias, wl_v=np.array([np.inf, 0.7]))
+
+    def test_non_positive_load_rejected(self):
+        with pytest.raises(ValueError):
+            BiasConfig.from_terms((Drive(1.2),), (ResistiveLoad(0.0),))
+        bias = BiasConfig.from_terms((Drive(1.2),), (ResistiveLoad(1e3),))
+        for r in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="r_s|_r must"):
+                dataclasses.replace(bias, bl_r=np.array([r]))
+
+    def test_length_mismatch_rejected(self):
+        bias = row_read_bias(CrossbarSpec(rows=2, cols=2), 0)
+        with pytest.raises(ValueError, match="one length"):
+            dataclasses.replace(bias, wl_v=np.array([1.2, 0.7, 0.7]))
+        with pytest.raises(ValueError, match="dimensions"):
+            build_network(CrossbarSpec(rows=3, cols=2), np.zeros((3, 2), np.int8),
+                          CellGrid.sample(3, 2, LinearDeviceParams(), NOVAR), bias)
+
+    def test_all_floating_arrays_rejected(self):
+        bias = conventional_cell_bias(CrossbarSpec(rows=2, cols=2), 0, 0)
+        nan2 = np.full(2, np.nan)
+        with pytest.raises(ValueError, match="floating"):
+            dataclasses.replace(bias, wl_kind=np.zeros(2), wl_v=nan2,
+                                bl_kind=np.zeros(2), bl_v=nan2)
+
+    @pytest.mark.parametrize("code", [-1, 4, 256, 2.5])
+    def test_unknown_kind_code_rejected(self, code):
+        bias = row_read_bias(CrossbarSpec(rows=2, cols=2), 0)
+        with pytest.raises(ValueError, match="BIAS_"):
+            dataclasses.replace(bias, wl_kind=np.array([BIAS_DRIVE, code]))
+
+    def test_unknown_term_rejected(self):
+        with pytest.raises(TypeError):
+            BiasConfig.from_terms((Drive(1.2),), (0.7,))
+
+    def test_floating_line_must_carry_nan(self):
+        bias = conventional_cell_bias(CrossbarSpec(rows=2, cols=2), 0, 0)
+        with pytest.raises(ValueError, match="NaN on floating"):
+            dataclasses.replace(bias, wl_v=np.array([1.2, 0.7]))
+
+
+class TestNodeNames:
+    def test_far_end_terminals_are_named(self, tmp_path):
+        spec = CrossbarSpec(rows=2, cols=3, r_wire=10.0, r_driver=5.0, double_sided_clamps=True)
+        cells = CellGrid.sample(2, 3, LinearDeviceParams(), NOVAR)
+        net = build_network(spec, np.zeros((2, 3), np.int8), cells, row_read_bias(spec, 0))
+        names = [net.node_name(k) for k in range(12, net.n_nodes)]
+        assert names == ["wl[0].terminal", "wl[1].terminal",
+                         "wl[0].terminal_far", "wl[1].terminal_far",
+                         "bl[0].terminal", "bl[1].terminal", "bl[2].terminal"]
+        nodes_txt = dump_system(net, str(tmp_path / "net"))[1]
+        assert "14 wl[0].terminal_far 1 " in open(nodes_txt).read()
+
+    def test_far_terminal_named_without_wire_resistance(self):
+        # r_wire = 0: both ends of a wordline are one rail node
+        spec = CrossbarSpec(rows=2, cols=2, r_wire=0.0, r_driver=5.0, double_sided_clamps=True)
+        cells = CellGrid.sample(2, 2, LinearDeviceParams(), NOVAR)
+        net = build_network(spec, np.zeros((2, 2), np.int8), cells, row_read_bias(spec, 1))
+        assert net.node_name(6) == "wl[0].terminal_far"
+
+
+# Independent per-line reference of the network construction ------------------
+
+def reference_network(spec, wordline_sources, bitline_terms):
+    """Build the boundary of a network one line at a time: terminal nodes
+    are appended as the line ends are met (near wordline ends, far wordline
+    ends, then bitline ends), and an unattached far end is a floating entry."""
+    m, n = spec.rows, spec.cols
+    if spec.r_wire > 0:
+        wl_nodes = np.arange(m * n).reshape(m, n)
+        bl_nodes = wl_nodes + m * n
+        n_rail = 2 * m * n
+        gw = 1.0 / spec.r_wire
+        wires = [(wl_nodes[i, j], wl_nodes[i, j + 1], gw) for i in range(m) for j in range(n - 1)]
+        wires += [(bl_nodes[i, j], bl_nodes[i + 1, j], gw) for i in range(m - 1) for j in range(n)]
+    else:
+        wl_nodes = np.repeat(np.arange(m)[:, None], n, axis=1)
+        bl_nodes = np.repeat(m + np.arange(n)[None, :], m, axis=0)
+        n_rail = m + n
+        wires = []
+    fixed_mask = [False] * n_rail
+    fixed_voltage = [np.nan] * n_rail
+
+    def attach(end_node, term):
+        end_node = int(end_node)
+        if isinstance(term, Floating):
+            return LineAttachment(TERM_FLOATING, end_node)
+        if isinstance(term, (Drive, Clamp)):
+            if spec.r_driver == 0:
+                fixed_mask[end_node] = True
+                fixed_voltage[end_node] = term.v
+                return LineAttachment(TERM_DIRECT, end_node, voltage=term.v)
+            g, src = 1.0 / spec.r_driver, term.v
+        else:
+            g, src = 1.0 / term.r_s, term.to
+        t = len(fixed_mask)
+        fixed_mask.append(True)
+        fixed_voltage.append(src)
+        wires.append((end_node, t, g))
+        return LineAttachment(TERM_RESISTIVE, end_node, terminal_node=t, conductance=g, voltage=src)
+
+    wl = [attach(wl_nodes[i, 0], s) for i, s in enumerate(wordline_sources)]
+    far = [
+        attach(wl_nodes[i, n - 1], s)
+        if spec.double_sided_clamps and n > 1 and isinstance(s, (Drive, Clamp))
+        else LineAttachment(TERM_FLOATING, int(wl_nodes[i, n - 1]))
+        for i, s in enumerate(wordline_sources)
+    ]
+    bl = [attach(bl_nodes[m - 1, j], t) for j, t in enumerate(bitline_terms)]
+    return {
+        "n_nodes": len(fixed_mask),
+        "fixed_mask": np.array(fixed_mask),
+        "fixed_voltage": np.array(fixed_voltage),
+        "wire_a": np.array([w[0] for w in wires], dtype=np.int64),
+        "wire_b": np.array([w[1] for w in wires], dtype=np.int64),
+        "wire_g": np.array([w[2] for w in wires], dtype=float),
+        "wl_attach": wl,
+        "wl_attach_far": far,
+        "bl_attach": bl,
+    }
+
+
+_volts = st.floats(-2.0, 2.0, allow_nan=False)
+_terms = st.one_of(
+    st.just(FLOATING),
+    st.builds(Drive, _volts),
+    st.builds(Clamp, _volts),
+    st.builds(ResistiveLoad, st.floats(1e-3, 1e6), _volts),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    rows=st.integers(1, 5),
+    cols=st.integers(1, 5),
+    r_wire=st.sampled_from([0.0, 10.0]),
+    r_driver=st.sampled_from([0.0, 5.0]),
+    double_sided=st.booleans(),
+)
+def test_build_network_matches_per_line_reference(data, rows, cols, r_wire, r_driver, double_sided):
+    wordlines = data.draw(st.lists(_terms, min_size=rows, max_size=rows))
+    bitlines = data.draw(st.lists(_terms, min_size=cols, max_size=cols))
+    if all(isinstance(t, Floating) for t in wordlines + bitlines):
+        wordlines[0] = Drive(1.2)
+    spec = CrossbarSpec(rows=rows, cols=cols, r_wire=r_wire, r_driver=r_driver,
+                        double_sided_clamps=double_sided)
+    cells = CellGrid.sample(rows, cols, LinearDeviceParams(), NOVAR)
+    net = build_network(spec, np.zeros((rows, cols), np.int8), cells,
+                        BiasConfig.from_terms(tuple(wordlines), tuple(bitlines)))
+    ref = reference_network(spec, wordlines, bitlines)
+
+    assert net.n_nodes == ref["n_nodes"]
+    assert np.array_equal(net.fixed_mask, ref["fixed_mask"])
+    assert np.array_equal(net.fixed_voltage, ref["fixed_voltage"], equal_nan=True)
+    for name in ("wire_a", "wire_b", "wire_g"):
+        got = getattr(net, name)
+        assert got.dtype == ref[name].dtype and np.array_equal(got, ref[name]), name
+    for name in ("wl_attach", "wl_attach_far", "bl_attach"):
+        attach = getattr(net, name)
+        assert len(attach) == len(ref[name])
+        for k, want in enumerate(ref[name]):
+            got = attach[k]
+            for field in ("kind", "attach_node", "terminal_node", "conductance", "control_node"):
+                assert getattr(got, field) == getattr(want, field), (name, k, field)
+            assert np.array_equal(got.voltage, want.voltage, equal_nan=True), (name, k)
+        assert np.array_equal(attach.control_node, [a.control_node for a in ref[name]])

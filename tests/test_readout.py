@@ -190,7 +190,7 @@ class TestVoltageSchemes:
         r_s = 1e-3
         res = read_row_resistive(spec, cells, pattern, 2, r_s=r_s)
         wordlines = tuple(Drive(spec.v_dd) if r == 2 else Clamp(spec.v_b) for r in range(4))
-        clamp_bias = BiasConfig(wordlines, tuple(Clamp(0.0) for _ in range(4)))
+        clamp_bias = BiasConfig.from_terms(wordlines, tuple(Clamp(0.0) for _ in range(4)))
         net = build_network(spec, pattern, cells, clamp_bias)
         want = bitline_currents(net, solve(net))
         assert np.abs(res.sensed / r_s / want - 1).max() < 1e-3

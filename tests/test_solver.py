@@ -61,10 +61,8 @@ class TestLinearSolve:
         spec = CrossbarSpec(rows=5, cols=4, r_wire=10.0)
         delta = 0.137
         net0 = build(spec, LIN, row_read_bias(spec, 2), sigma=0.1)
-        bias_shift = BiasConfig(
-            tuple(type(s)(s.v + delta) for s in row_read_bias(spec, 2).wordline_sources),
-            tuple(Clamp(t.v + delta) for t in row_read_bias(spec, 2).bitline_terms),
-        )
+        bias = row_read_bias(spec, 2)
+        bias_shift = dataclasses.replace(bias, wl_v=bias.wl_v + delta, bl_v=bias.bl_v + delta)
         net1 = build(spec, LIN, bias_shift, sigma=0.1)
         i0 = solve_linear(net0)
         i1 = solve_linear(net1)
@@ -120,7 +118,7 @@ class TestNonlinearSolve:
 
     def test_zero_excitation_converges_immediately(self):
         spec = CrossbarSpec(rows=3, cols=3, r_wire=10.0)
-        bias = BiasConfig(tuple(Clamp(0.7) for _ in range(3)), tuple(Clamp(0.7) for _ in range(3)))
+        bias = BiasConfig.from_terms((Clamp(0.7),) * 3, (Clamp(0.7),) * 3)
         net = build(spec, NON, bias, pattern=np.zeros((3, 3), np.int8))
         sol = solve_nonlinear(net)
         assert sol.iterations == 1
@@ -166,10 +164,7 @@ class TestPhysicsInvariants:
         spec = CrossbarSpec(rows=4, cols=4, r_wire=10.0)
         delta = -0.21
         b0 = row_read_bias(spec, 1)
-        b1 = BiasConfig(
-            tuple(type(s)(s.v + delta) for s in b0.wordline_sources),
-            tuple(Clamp(t.v + delta) for t in b0.bitline_terms),
-        )
+        b1 = dataclasses.replace(b0, wl_v=b0.wl_v + delta, bl_v=b0.bl_v + delta)
         pattern = random_pattern(4, 4, np.random.default_rng(4))
         cells = CellGrid.sample(4, 4, base, VariationSpec(0.1, 4))
         i0 = solve(build_network(spec, pattern, cells, b0)).branch_currents
@@ -183,6 +178,18 @@ class TestPhysicsInvariants:
         into_bitlines = bitline_currents(net, sol).sum()
         from_sources = np.nansum(wordline_source_currents(net, sol))
         assert into_bitlines == pytest.approx(from_sources, abs=1e-12)
+
+    @pytest.mark.parametrize("r_wire", [0.0, 10.0])
+    @pytest.mark.parametrize("r_driver", [0.0, 5.0])
+    def test_double_sided_source_current_is_row_device_sum(self, r_wire, r_driver):
+        # both wordline ends feed the line; with zero wire and driver
+        # resistance they are one fixed node and must be counted once
+        spec = CrossbarSpec(rows=3, cols=4, r_wire=r_wire, r_driver=r_driver,
+                            double_sided_clamps=True)
+        net = build(spec, LIN, row_read_bias(spec, 1), sigma=0.1, seed=2)
+        sol = solve(net)
+        per_row = sol.device_currents.reshape(3, 4).sum(axis=1)
+        assert np.abs(wordline_source_currents(net, sol) - per_row).max() < 1e-15
 
 
 class TestOracleEquivalence:
@@ -231,7 +238,7 @@ class TestInterfaces:
         from xbarsim.crossbar import FLOATING
 
         spec = CrossbarSpec(rows=2, cols=2, r_wire=10.0)
-        bias = BiasConfig((Drive(1.2), Clamp(0.7)), (FLOATING, FLOATING))
+        bias = BiasConfig.from_terms((Drive(1.2), Clamp(0.7)), (FLOATING, FLOATING))
         net = build(spec, LIN, bias)
         sol = solve(net)
         with pytest.raises(ValueError, match="no sense path"):
