@@ -11,6 +11,7 @@ Output naming is ``{experiment}-{seed}.csv`` / ``.json``.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -31,6 +32,36 @@ from .readout import (
     split_by_state,
 )
 from .solver import SolverConvergenceError
+
+# mallopt parameter numbers from glibc's <malloc.h>
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_HEAP_BLOCK_MAX = 32 << 20  # glibc's ceiling for its adaptive mmap threshold (64-bit)
+
+
+def _retain_freed_heap() -> None:
+    """Keep freed heap memory in the process for the next allocation.
+
+    Campaigns build and drop networks of a few megabytes thousands of times.
+    glibc's adaptive thresholds hand the top of the heap back to the kernel
+    after each one, and the next network faults it back in page by page: the
+    mismatch sweep (single columns of up to 26004 rows) took about 33k page
+    faults per sweep and spent 10-25% of its time in the kernel, more or less
+    from one sweep to the next.  Fixing the thresholds where the adaptive rule
+    tops out (blocks below 32 MB come from the heap, which is trimmed only
+    past twice that) ends the churn.  Setting the trim threshold alone would
+    freeze the mmap threshold at 128 kB and send every larger block to mmap.
+    A C library without ``mallopt`` keeps its own policy.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _HEAP_BLOCK_MAX)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _HEAP_BLOCK_MAX)
+
+
+_retain_freed_heap()
 
 
 def seeded_trial_stream(master_seed: int, trial_index: int) -> np.random.Generator:

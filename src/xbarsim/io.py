@@ -4,6 +4,7 @@ summaries carrying a config echo and version string."""
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 import subprocess
@@ -34,8 +35,11 @@ def write_csv(path, header, rows) -> Path:
     return path
 
 
+@functools.cache
 def version_string() -> str:
-    """Package version, extended with the git description when available."""
+    """Package version, extended with the git description when available.
+
+    Asked of git once per process, not once per summary file."""
     try:
         desc = subprocess.run(
             ["git", "describe", "--always", "--dirty"],

@@ -140,6 +140,25 @@ class TestIoHelpers:
         data = json.loads(path.read_text())
         assert data["records"] == [] and "version" in data
 
+    def test_summary_json_asks_git_once_per_process(self, tmp_path, monkeypatch):
+        from xbarsim import io
+
+        calls = []
+
+        def fake_run(*args, **kwargs):
+            calls.append(args)
+            return subprocess.CompletedProcess(args, 0, stdout="abc1234\n")
+
+        monkeypatch.setattr(io.subprocess, "run", fake_run)
+        io.version_string.cache_clear()
+        try:
+            for k in range(3):
+                path = io.write_summary_json(tmp_path / f"s{k}.json", {})
+                assert json.loads(path.read_text())["version"].endswith("+gabc1234")
+        finally:
+            io.version_string.cache_clear()
+        assert len(calls) == 1
+
 
 def run_cli(args, tmp_path):
     return main(["-o", str(tmp_path), *args])

@@ -1,9 +1,15 @@
 import dataclasses
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import xbarsim
 from xbarsim.config import CrossbarConfig, ExperimentConfig, RunConfig, VariationConfig
 from xbarsim.experiments import (
     Histogram,
@@ -206,6 +212,35 @@ class TestSummaryRoundTrip:
         loaded = json.loads((tmp_path / "mismatch-sweep-7.json").read_text())
         loaded.pop("version")
         assert loaded == summary
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+class TestHeapRetention:
+    # Forty 100 kB blocks (each below glibc's initial mmap threshold) are made
+    # and dropped, then made again; prints the page faults of the second time.
+    CYCLE = (
+        "import resource, sys\n"
+        "import numpy as np\n"
+        "if sys.argv[1] == 'retain':\n"
+        "    import xbarsim.experiments\n"
+        "def cycle():\n"
+        "    blocks = [np.ones(12_500) for _ in range(40)]\n"
+        "cycle()\n"
+        "f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "cycle()\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)\n"
+    )
+
+    def _refaults(self, mode: str) -> int:
+        env = {**os.environ, "PYTHONPATH": str(Path(xbarsim.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", self.CYCLE, mode], env=env,
+                              capture_output=True, text=True, check=True)
+        return int(proc.stdout)
+
+    def test_campaign_module_keeps_freed_heap(self):
+        # 4 MB is about 1000 pages: the default trims it and faults it back in.
+        assert self._refaults("default") > 500
+        assert self._refaults("retain") < 50
 
 
 @pytest.mark.paperscale
