@@ -14,7 +14,6 @@ from .crossbar import (  # noqa: F401
     FLOATING,
     Floating,
     ResistiveLoad,
-    bank_partition,
     build_network,
     conventional_cell_bias,
     random_pattern,
@@ -49,7 +48,6 @@ from .solver import (  # noqa: F401
     SingularNetworkError,
     Solution,
     SolverConvergenceError,
-    SolverOptions,
     bitline_currents,
     solve,
     solve_linear,

@@ -19,7 +19,7 @@ from .devices import (
     VariationSpec,
     ideal_state_currents,
 )
-from .solver import DEFAULT_OPTIONS, Solution, SolverOptions, bitline_currents, solve
+from .solver import Solution, bitline_currents, solve
 
 # Cell area implied by an areal density of 640 Gbit/cm^2.
 DEFAULT_CELL_AREA_UM2 = 1.0 / 6400.0  # um^2 per bit
@@ -96,7 +96,6 @@ def power_report(
     cells: CellGrid,
     rows=None,
     exact: bool = True,
-    opts: SolverOptions = DEFAULT_OPTIONS,
 ) -> PowerReport:
     """Approximate per-row read power, optionally with network-exact values."""
     rows = list(range(spec.rows)) if rows is None else list(rows)
@@ -107,7 +106,7 @@ def power_report(
         exact_vals = np.empty(len(rows))
         for k, i in enumerate(rows):
             net = build_network(spec, pattern, cells, row_read_bias(spec, i))
-            exact_vals[k] = power_exact(net, solve(net, opts))
+            exact_vals[k] = power_exact(net, solve(net))
     return PowerReport(
         rows=np.array(rows),
         row_power_approx=approx,
@@ -285,8 +284,7 @@ def _balanced_column_pattern(n: int, target_bit: int) -> np.ndarray:
 
 
 def _simulated_unwanted(spec: CrossbarSpec, cells_base: DeviceParams, p: MismatchParams,
-                        n: int, trials: int, master_seed: int,
-                        opts: SolverOptions) -> float:
+                        n: int, trials: int, master_seed: int) -> float:
     """Normalized |sensed - wanted| excursion for an n-cell column with every
     unselected wordline offset by +delta_v.
 
@@ -310,7 +308,7 @@ def _simulated_unwanted(spec: CrossbarSpec, cells_base: DeviceParams, p: Mismatc
                 pattern = (rng.random((n, 1)) < 0.5).astype(np.int8)
                 pattern[0, 0] = target
             net = build_network(spec_n, pattern, cells, bias)
-            sensed = bitline_currents(net, solve(net, opts))[0]
+            sensed = bitline_currents(net, solve(net))[0]
             excursions.append(abs(sensed - wanted))
         limit = p.i_max if target == LRS else p.i_min
         worst = max(worst, float(np.mean(excursions)) / limit)
@@ -323,7 +321,6 @@ def mismatch_simulation_check(
     device: DeviceParams,
     trials: int = 1,
     master_seed: int = 1,
-    opts: SolverOptions = DEFAULT_OPTIONS,
     sweep_cap: int = 1 << 16,
 ) -> MismatchCheck:
     """Find the largest column height whose simulated mismatch current stays
@@ -338,15 +335,15 @@ def mismatch_simulation_check(
     analytic = max_column_width(p, device) if p.delta_v > 0 else None
     lo = 2
     hi = min(sweep_cap, 2 * analytic + 4) if analytic is not None else sweep_cap
-    if _simulated_unwanted(spec, device, p, lo, trials, master_seed, opts) > 1.0:
+    if _simulated_unwanted(spec, device, p, lo, trials, master_seed) > 1.0:
         return MismatchCheck(analytic, 0, float("inf"))
-    while _simulated_unwanted(spec, device, p, hi, trials, master_seed, opts) <= 1.0:
+    while _simulated_unwanted(spec, device, p, hi, trials, master_seed) <= 1.0:
         if hi >= sweep_cap:
             return MismatchCheck(analytic, sweep_cap, float("nan"), unbounded=True)
         hi = min(2 * hi, sweep_cap)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _simulated_unwanted(spec, device, p, mid, trials, master_seed, opts) <= 1.0:
+        if _simulated_unwanted(spec, device, p, mid, trials, master_seed) <= 1.0:
             lo = mid
         else:
             hi = mid

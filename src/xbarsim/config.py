@@ -13,7 +13,6 @@ import yaml
 from .analytics import MismatchParams
 from .crossbar import CrossbarSpec
 from .devices import LinearDeviceParams, NonlinearDeviceParams, VariationSpec
-from .sense import SenseParams
 
 
 class ConfigError(ValueError):
@@ -68,7 +67,6 @@ class CrossbarConfig:
     r_driver: float = 0.0
     v_dd: float = 1.2
     v_b: float = 0.7
-    bank_width: int | None = None
     double_sided_clamps: bool = False
 
     def to_spec(self) -> CrossbarSpec:
@@ -110,33 +108,12 @@ class VariationConfig:
 
 
 @dataclass(frozen=True)
-class SenseConfig:
-    v_dd: float = 1.2
-    v_b: float = 0.7
-    r_l: float = 1e6
-    alpha: float = 2.0
-    i_ref: float = 0.6e-6
-    i_1: float = 1.0e-6
-    noise_margin: float = 10e-3
-    v_disturb_pos: float = 20e-3
-    v_disturb_neg: float = -35e-3
-    recovery_time: float = 1e-9
-    energy_per_bit: float = 7.6e-15
-    i_max: float = 0.22e-6
-    i_min: float = 0.195e-6
-
-    def to_params(self) -> SenseParams:
-        return SenseParams(**dataclasses.asdict(self))
-
-
-@dataclass(frozen=True)
 class MismatchConfig:
-    delta_v: float = 2e-3
+    """Sensing window of the mismatch sweep; its line offsets are
+    ``experiment.delta_v_grid``."""
+
     i_max: float = 0.22e-6
     i_min: float = 0.195e-6
-
-    def to_params(self) -> MismatchParams:
-        return MismatchParams(self.delta_v, self.i_max, self.i_min)
 
 
 @dataclass(frozen=True)
@@ -176,7 +153,6 @@ class RunConfig:
     crossbar: CrossbarConfig = field(default_factory=CrossbarConfig)
     device: DeviceConfig = field(default_factory=DeviceConfig)
     variation: VariationConfig = field(default_factory=VariationConfig)
-    sense: SenseConfig = field(default_factory=SenseConfig)
     mismatch: MismatchConfig = field(default_factory=MismatchConfig)
     experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
     output_dir: str | None = None
@@ -186,8 +162,7 @@ class RunConfig:
         for section, build in (
             ("crossbar", self.crossbar.to_spec),
             ("variation", lambda: VariationSpec(self.variation.relative_sigma)),
-            ("sense", self.sense.to_params),
-            ("mismatch", self.mismatch.to_params),
+            ("mismatch", lambda: MismatchParams(**dataclasses.asdict(self.mismatch))),
         ):
             try:
                 build()
@@ -200,7 +175,7 @@ class RunConfig:
         return self
 
 
-_INT_FIELDS = {"rows", "cols", "bank_width", "master_seed", "trials", "workers",
+_INT_FIELDS = {"rows", "cols", "master_seed", "trials", "workers",
                "sample_cells", "backgrounds", "power_rows", "scheme_rows", "map_bins"}
 _STR_FIELDS = {"model", "output_dir"}
 _BOOL_FIELDS = {"double_sided_clamps"}
@@ -216,8 +191,6 @@ def _coerce(name: str, value, where: str):
         if not isinstance(value, bool):
             raise ConfigError(where, f"expected true/false, got {value!r}")
         return value
-    if name == "bank_width" and value is None:
-        return None
     if name in _TUPLE_FIELDS:
         if isinstance(value, str):
             value = [v for v in re.split(r"[,\s]+", value.strip()) if v]
@@ -251,7 +224,6 @@ _SECTIONS = {
     "crossbar": CrossbarConfig,
     "device": DeviceConfig,
     "variation": VariationConfig,
-    "sense": SenseConfig,
     "mismatch": MismatchConfig,
     "experiment": ExperimentConfig,
 }

@@ -62,12 +62,8 @@ class CrossbarSpec:
             )
 
     @property
-    def n_bank_cols(self) -> int:
-        return self.cols if self.bank_width is None else self.bank_width
-
-    @property
     def n_banks(self) -> int:
-        return self.cols // self.n_bank_cols
+        return 1 if self.bank_width is None else self.cols // self.bank_width
 
 
 # Line sources / terminations -------------------------------------------------
@@ -264,23 +260,6 @@ def conventional_cell_bias(
     wl_kind[i], wl_v[i], wl_r[i] = BIAS_DRIVE, spec.v_dd, np.nan
     bl_kind[j], bl_v[j], bl_r[j] = BIAS_CLAMP, 0.0, np.nan
     return BiasConfig(wl_kind, wl_v, wl_r, bl_kind, bl_v, bl_r)
-
-
-@dataclass(frozen=True)
-class Bank:
-    index: int
-    col_start: int
-    col_stop: int  # half-open
-
-    @property
-    def columns(self) -> range:
-        return range(self.col_start, self.col_stop)
-
-
-def bank_partition(spec: CrossbarSpec) -> list[Bank]:
-    """Split the N columns into R contiguous banks of bank_width columns."""
-    n = spec.n_bank_cols
-    return [Bank(b, b * n, (b + 1) * n) for b in range(spec.n_banks)]
 
 
 # Data patterns ----------------------------------------------------------------

@@ -215,13 +215,13 @@ class CellGrid:
             )
         return CellState(stored_bit=bit, params=params)
 
-    def active_conductances(self, pattern: np.ndarray, at_voltage: float = 0.0) -> np.ndarray:
-        """Per-cell small-signal conductance for the stored states at a bias point."""
+    def active_conductances(self, pattern: np.ndarray) -> np.ndarray:
+        """Per-cell small-signal conductance for the stored states at zero bias."""
         if self.is_linear:
             r = np.where(pattern == LRS, self._on, self._off)
             return 1.0 / r
         k = np.where(pattern == LRS, self._on, self._off)
-        return k * self.base.a * np.cosh(self.base.a * at_voltage)
+        return k * self.base.a
 
     def currents(self, pattern: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Per-cell current at per-cell voltages v: broadcastable to the grid,

@@ -263,7 +263,7 @@ def run_power_sweep(cfg: RunConfig, out_dir=None) -> dict:
         idx, (model, size, trial) = unit
         dev_cfg = dataclasses.replace(cfg.device, model=model)
         base = dev_cfg.base_params()
-        spec0 = dataclasses.replace(cfg.crossbar.to_spec(), rows=size, cols=size, bank_width=None)
+        spec0 = dataclasses.replace(cfg.crossbar.to_spec(), rows=size, cols=size)
         pattern, cells, rng = sample_trial(cfg, 2000 + idx, size, size, base)
         sample_rows = sorted(rng.choice(size, size=min(exp.power_rows, size), replace=False).tolist())
         session = RowReadSession(spec0, cells, pattern)
@@ -410,7 +410,7 @@ def run_scheme_compare(cfg: RunConfig, out_dir=None) -> dict:
 
     def one_unit(unit):
         idx, (scheme, size) = unit
-        spec = dataclasses.replace(cfg.crossbar.to_spec(), rows=size, cols=size, bank_width=None)
+        spec = dataclasses.replace(cfg.crossbar.to_spec(), rows=size, cols=size)
         pattern, cells, rng = sample_trial(cfg, 1000 + idx, size, size, cfg.device.base_params())
         try:
             values, bits, unit_name = _scheme_populations(scheme, cfg, spec, cells, pattern, rng)

@@ -11,14 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import solver
 from .crossbar import Network
-from .solver import (
-    DEFAULT_OPTIONS,
-    SingularNetworkError,
-    Solution,
-    SolverConvergenceError,
-    SolverOptions,
-)
+from .solver import SingularNetworkError, Solution, SolverConvergenceError
 
 MAX_DENSE_NODES = 5000
 
@@ -121,7 +116,7 @@ def _finish(net: Network, v: np.ndarray, residual: float, iterations: int) -> So
     return Solution(v, wire_i, dev_i, float(residual), iterations)
 
 
-def dense_reference_solve(net: Network, opts: SolverOptions = DEFAULT_OPTIONS) -> Solution:
+def dense_reference_solve(net: Network) -> Solution:
     """Reference solve with dense pivoted elimination (both device models)."""
     if net.n_nodes > MAX_DENSE_NODES:
         raise ValueError(
@@ -140,7 +135,7 @@ def dense_reference_solve(net: Network, opts: SolverOptions = DEFAULT_OPTIONS) -
             v[u] = np.linalg.solve(Guu, rhs)
             v = _refine_dense(net, v, u, Guu)
         residual = float(np.abs(_branch_imbalance(net, v, extended=True)[u]).max()) if u.size else 0.0
-        if residual > opts.abs_tol:
+        if residual > solver.KCL_TOL:
             raise SolverConvergenceError(
                 f"dense linear residual {residual:.3e} A above tolerance",
                 residual=residual, iterations=1,
@@ -151,9 +146,9 @@ def dense_reference_solve(net: Network, opts: SolverOptions = DEFAULT_OPTIONS) -
     v[u] = float(np.median(net.fixed_voltage[f]))
     Juu = None
     f_u = _branch_imbalance(net, v)[u]
-    for iterations in range(1, opts.max_newton_iters + 1):
+    for iterations in range(1, solver.MAX_NEWTON_ITERS + 1):
         res = np.abs(f_u).max() if u.size else 0.0
-        if res <= opts.abs_tol:
+        if res <= solver.KCL_TOL:
             if Juu is not None:
                 v = _refine_dense(net, v, u, Juu)
                 res = float(np.abs(_branch_imbalance(net, v, extended=True)[u]).max())
@@ -179,9 +174,9 @@ def dense_reference_solve(net: Network, opts: SolverOptions = DEFAULT_OPTIONS) -
                 residual=float(norm0), iterations=iterations,
             )
     res = float(np.abs(f_u).max()) if u.size else 0.0
-    if res <= opts.abs_tol:
-        return _finish(net, v, res, opts.max_newton_iters)
+    if res <= solver.KCL_TOL:
+        return _finish(net, v, res, solver.MAX_NEWTON_ITERS)
     raise SolverConvergenceError(
         f"dense Newton did not converge (final residual {res:.3e} A)",
-        residual=res, iterations=opts.max_newton_iters,
+        residual=res, iterations=solver.MAX_NEWTON_ITERS,
     )

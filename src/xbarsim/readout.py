@@ -19,6 +19,7 @@ from enum import Enum
 import numpy as np
 import scipy.sparse.linalg as spla
 
+from . import solver
 from .crossbar import (
     BIAS_DRIVE,
     FLOATING,
@@ -38,9 +39,7 @@ from .crossbar import (
 )
 from .devices import LRS, CellGrid, DeviceParams, ideal_state_currents
 from .solver import (
-    DEFAULT_OPTIONS,
     ReducedSystem,
-    SolverOptions,
     assemble_admittance,
     bitline_currents,
     branch_currents_at,
@@ -172,7 +171,6 @@ def read_row(
     i: int,
     mismatch: BiasMismatch | None = None,
     threshold: float | None = None,
-    opts: SolverOptions = DEFAULT_OPTIONS,
 ) -> ReadResult:
     """One-cycle row read: solve the biased network once and collect all N
     bitline currents.  The bias does not depend on the bank (per-line
@@ -182,7 +180,7 @@ def read_row(
     if threshold is None:
         threshold = midpoint_threshold(spec, cells.base)
     net = build_network(spec, pattern, cells, row_read_bias(spec, i, mismatch))
-    currents = bitline_currents(net, solve(net, opts))
+    currents = bitline_currents(net, solve(net))
     return _make_result(i, currents, "A", threshold, pattern[i])
 
 
@@ -193,13 +191,12 @@ def read_cell_conventional(
     i: int,
     j: int,
     unselected=FLOATING,
-    opts: SolverOptions = DEFAULT_OPTIONS,
 ) -> float:
     """Single-cell read current (main path plus sneak paths) with the
     selected wordline driven, the selected bitline grounded, and the other
     lines terminated per ``unselected``."""
     net = build_network(spec, pattern, cells, conventional_cell_bias(spec, i, j, unselected))
-    sol = solve(net, opts)
+    sol = solve(net)
     return float(bitline_currents(net, sol, columns=[j])[0])
 
 
@@ -216,13 +213,12 @@ def read_row_floating(
     pattern: np.ndarray,
     i: int,
     threshold: float | None = None,
-    opts: SolverOptions = DEFAULT_OPTIONS,
 ) -> ReadResult:
     """Row drive with open bitlines; senses the open-circuit voltage at the
     sense end of each bitline."""
     pattern = check_pattern(spec, pattern)
     net = build_network(spec, pattern, cells, _voltage_row_bias(spec, i, FLOATING))
-    sol = solve(net, opts)
+    sol = solve(net)
     sense_nodes = net.bl_nodes[spec.rows - 1, :]
     voltages = sol.node_voltages[sense_nodes]
     return _make_result(i, voltages, "V", threshold, pattern[i])
@@ -236,13 +232,12 @@ def read_row_resistive(
     r_s: float,
     to: float = 0.0,
     threshold: float | None = None,
-    opts: SolverOptions = DEFAULT_OPTIONS,
 ) -> ReadResult:
     """Row drive with a sense resistor r_s from each bitline to ``to``;
     senses the voltage developed across each resistor."""
     pattern = check_pattern(spec, pattern)
     net = build_network(spec, pattern, cells, _voltage_row_bias(spec, i, ResistiveLoad(r_s, to)))
-    sol = solve(net, opts)
+    sol = solve(net)
     voltages = sol.node_voltages[net.bl_attach.attach_node] - to
     return _make_result(i, voltages, "V", threshold, pattern[i])
 
@@ -274,7 +269,7 @@ class RowReadSession:
     row, so one ``ReducedSystem`` factorized at the flat start (all lines at
     the hold voltage) serves every row.  Ohmic rows are solved and refined
     by it directly, many rows per batch.  Sinh rows iterate on that frozen
-    Jacobian against the true KCL residual until ``opts.abs_tol``, with a
+    Jacobian against the true KCL residual until ``solver.KCL_TOL``, with a
     per-row exact Newton fallback if the iteration stalls.
     """
 
@@ -284,34 +279,31 @@ class RowReadSession:
         cells: CellGrid,
         pattern: np.ndarray,
         mismatch: BiasMismatch | None = None,
-        opts: SolverOptions = DEFAULT_OPTIONS,
     ):
         self.spec = spec
         self.cells = cells
         self.pattern = check_pattern(spec, pattern)
         self.mismatch = mismatch if mismatch is not None else BiasMismatch.zeros(spec)
-        self.opts = opts
         self.net = build_network(spec, self.pattern, cells, row_read_bias(spec, 0, self.mismatch))
         self.system = ReducedSystem(self.net)
-        self.system.factor(cells.active_conductances(self.pattern, at_voltage=0.0))
+        self.system.factor(cells.active_conductances(self.pattern))
         self._bl_ctrl = self.net.bl_attach.control_node
 
-    def solve_rows(self, rows, v_b: float | None = None, v_dd: float | None = None) -> np.ndarray:
+    def solve_rows(self, rows, v_b: float | None = None) -> np.ndarray:
         """Full node-voltage matrix (n_nodes x len(rows)), one column per row read.
 
-        ``v_b`` / ``v_dd`` override the session bias point; the factorized
-        matrix does not depend on the bias values, so overrides are free.
+        ``v_b`` overrides the session hold voltage; the factorized matrix
+        does not depend on the bias values, so the override is free.
         """
         rows = list(rows)
         v_b = self.spec.v_b if v_b is None else v_b
-        v_dd = self.spec.v_dd if v_dd is None else v_dd
         k = np.arange(len(rows))
         wl_v = np.repeat((v_b + self.mismatch.wordline_dv)[:, None], len(rows), axis=1)
-        wl_v[rows, k] = v_dd
+        wl_v[rows, k] = self.spec.v_dd
         bl_v = np.repeat((v_b + self.mismatch.bitline_dv)[:, None], len(rows), axis=1)
         V = _line_voltages(self.net, wl_v, bl_v)
         if self.cells.is_linear:
-            return self.system.solve(V, self.opts)[0]
+            return self.system.solve(V)[0]
         return self._solve_rows_chord(rows, V, v_b)
 
     def _solve_rows_chord(self, rows, V: np.ndarray, v_b: float) -> np.ndarray:
@@ -322,7 +314,7 @@ class RowReadSession:
         last = np.inf
         for it in range(_CHORD_MAX_ITERS):
             res_cols = np.abs(F).max(axis=0) if F.size else np.zeros(len(active))
-            keep = res_cols > self.opts.abs_tol
+            keep = res_cols > solver.KCL_TOL
             if not keep.any():
                 return V
             active = active[keep]
@@ -337,7 +329,7 @@ class RowReadSession:
             net = build_network(
                 self.spec, self.pattern, self.cells, row_read_bias(self.spec, rows[c], self.mismatch)
             )
-            V[:, c] = solve_nonlinear(net, self.opts).node_voltages
+            V[:, c] = solve_nonlinear(net).node_voltages
         return V
 
     def bitline_currents_from(self, V: np.ndarray) -> np.ndarray:
@@ -387,7 +379,6 @@ class ConventionalSession:
         cells: CellGrid,
         pattern: np.ndarray,
         unselected=FLOATING,
-        opts: SolverOptions = DEFAULT_OPTIONS,
     ):
         if not cells.is_linear:
             raise TypeError(
@@ -400,7 +391,6 @@ class ConventionalSession:
         self.cells = cells
         self.pattern = check_pattern(spec, pattern)
         self.unselected = unselected
-        self.opts = opts
 
         self._floating = isinstance(unselected, Floating)
         if self._floating and spec.double_sided_clamps:
@@ -472,5 +462,5 @@ class ConventionalSession:
         wl_v[ii, k] = self.spec.v_dd
         bl_v = np.full((self.spec.cols, len(chunk)), self.unselected.v)
         bl_v[jj, k] = 0.0
-        V, _ = self.system.solve(_line_voltages(self.net, wl_v, bl_v), self.opts)
+        V, _ = self.system.solve(_line_voltages(self.net, wl_v, bl_v))
         return -node_imbalance(self.net, V)[self._bl_ctrl[jj], k]

@@ -138,14 +138,6 @@ class LatchedComparator:
                 f.write(f"{cycle},{phase},{diff:.12g},{b},{int(reliable)}\n")
 
 
-def latched_compare(p: SenseParams, differential: float, phase: ComparatorPhase,
-                    comparator: LatchedComparator | None = None) -> LatchDecision:
-    """One comparator step; creates a fresh comparator when none is passed
-    (then a LATCH as the first step is a sequencing error, as in hardware)."""
-    comp = comparator if comparator is not None else LatchedComparator(p)
-    return comp.step(phase, differential)
-
-
 class MarginWindowError(ValueError):
     """An ideal read current violates the configured sensing window."""
 

@@ -41,23 +41,8 @@ class SolverConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    abs_tol: float = 1e-12  # max node-current imbalance, amperes
-    max_newton_iters: int = 50
-    damping: float = 1.0  # initial Newton step scale; halved on failed steps
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0):
-            raise ValueError(f"abs_tol must be > 0, got {self.abs_tol}")
-        if self.max_newton_iters < 1:
-            raise ValueError("max_newton_iters must be >= 1")
-        if not (0 < self.damping <= 1):
-            raise ValueError("damping must be in (0, 1]")
-
-
-DEFAULT_OPTIONS = SolverOptions()
-
+KCL_TOL = 1e-12  # max node-current imbalance of every solve, amperes
+MAX_NEWTON_ITERS = 50
 _MAX_HALVINGS = 20
 _REFINE_STEPS = 8
 
@@ -171,6 +156,8 @@ class ReducedSystem:
 
     def imbalance(self, V: np.ndarray) -> np.ndarray:
         """Net current leaving each unknown node."""
+        if not self.unknown.size:
+            return np.zeros((0,) + V.shape[1:])
         return node_imbalance(self.net, V)[self.unknown]
 
     def correct(self, V: np.ndarray) -> np.ndarray:
@@ -196,13 +183,13 @@ class ReducedSystem:
             prev = step
         return V
 
-    def solve(self, V: np.ndarray, opts: SolverOptions) -> tuple[np.ndarray, float]:
-        """``correct`` V, then require the KCL residual within ``opts.abs_tol``."""
+    def solve(self, V: np.ndarray) -> tuple[np.ndarray, float]:
+        """``correct`` V, then require the KCL residual within ``KCL_TOL``."""
         V = self.correct(V)
         residual = float(np.abs(self.imbalance(V)).max()) if self.unknown.size else 0.0
-        if residual > opts.abs_tol:
+        if residual > KCL_TOL:
             raise SolverConvergenceError(
-                f"nodal residual {residual:.3e} A exceeds tolerance {opts.abs_tol:.1e} A",
+                f"nodal residual {residual:.3e} A exceeds tolerance {KCL_TOL:.1e} A",
                 residual=residual, iterations=1,
             )
         return V, residual
@@ -214,36 +201,37 @@ def _finish(system: ReducedSystem, v: np.ndarray, residual: float, iterations: i
     return Solution(v, i[:nw], i[nw:], residual, iterations)
 
 
-def solve_linear(net: Network, opts: SolverOptions = DEFAULT_OPTIONS) -> Solution:
+def solve_linear(net: Network) -> Solution:
     """Direct sparse solve of a linear-device network."""
     if not net.cells.is_linear:
         raise TypeError("solve_linear requires linear device parameters")
     system = ReducedSystem(net)
     system.factor(net.cells.active_conductances(net.pattern))
-    v, residual = system.solve(np.where(net.fixed_mask, net.fixed_voltage, 0.0), opts)
+    v, residual = system.solve(np.where(net.fixed_mask, net.fixed_voltage, 0.0))
     return _finish(system, v, residual, iterations=1)
 
 
-def solve_nonlinear(net: Network, opts: SolverOptions = DEFAULT_OPTIONS) -> Solution:
+def solve_nonlinear(net: Network) -> Solution:
     """Damped Newton solve of a sinh-device network.
 
     Unknowns start at the median fixed bias (the hold voltage for read
-    configurations); steps use residual-halving damping so large initial
-    sinh arguments cannot run away.  The converged iterate is finished by
-    the shared refinement with the last Jacobian factor.
+    configurations); each full Newton step is halved until the residual
+    falls, so large initial sinh arguments cannot run away.  The converged
+    iterate is finished by the shared refinement with the last Jacobian
+    factor.
     """
     if net.cells.is_linear:
         raise TypeError("solve_nonlinear requires nonlinear device parameters")
     system = ReducedSystem(net)
     v = _initial_voltages(net)
     f_u = system.imbalance(v)
-    for iterations in range(1, opts.max_newton_iters + 1):
-        if (np.abs(f_u).max() if f_u.size else 0.0) <= opts.abs_tol:
+    for iterations in range(1, MAX_NEWTON_ITERS + 1):
+        if (np.abs(f_u).max() if f_u.size else 0.0) <= KCL_TOL:
             break
         system.factor(net.cells.conductances(net.pattern, _device_dv(net, v)).ravel())
         delta = system.lu.solve(-f_u)
         norm0 = np.linalg.norm(f_u)
-        alpha = opts.damping
+        alpha = 1.0
         for _ in range(_MAX_HALVINGS + 1):
             v_try = v.copy()
             v_try[system.unknown] += alpha * delta
@@ -259,19 +247,19 @@ def solve_nonlinear(net: Network, opts: SolverOptions = DEFAULT_OPTIONS) -> Solu
             )
     else:
         res = float(np.abs(f_u).max())
-        if res > opts.abs_tol:
+        if res > KCL_TOL:
             raise SolverConvergenceError(
-                f"Newton did not converge in {opts.max_newton_iters} iterations "
+                f"Newton did not converge in {MAX_NEWTON_ITERS} iterations "
                 f"(final residual {res:.3e} A)",
-                residual=res, iterations=opts.max_newton_iters,
+                residual=res, iterations=MAX_NEWTON_ITERS,
             )
-    v, residual = system.solve(v, opts)
+    v, residual = system.solve(v)
     return _finish(system, v, residual, iterations)
 
 
-def solve(net: Network, opts: SolverOptions = DEFAULT_OPTIONS) -> Solution:
+def solve(net: Network) -> Solution:
     """Dispatch on the device model of the network's cells."""
-    return solve_linear(net, opts) if net.cells.is_linear else solve_nonlinear(net, opts)
+    return solve_linear(net) if net.cells.is_linear else solve_nonlinear(net)
 
 
 def bitline_currents(net: Network, sol: Solution, columns=None) -> np.ndarray:

@@ -57,18 +57,17 @@ class TestParseConfig:
         assert cfg.device.lrs_ohms == 1e6 and cfg.device.hrs_ohms == 1e9
         assert cfg.device.k_on == 1e-8 and cfg.device.k_off == 1e-11 and cfg.device.a == 3.0
         assert cfg.variation.relative_sigma == 0.10
-        assert cfg.sense.noise_margin == 10e-3
         assert cfg.mismatch.i_max == 0.22e-6 and cfg.mismatch.i_min == 0.195e-6
 
     def test_file_with_units(self, tmp_path):
         path = tmp_path / "cfg.yaml"
         path.write_text(
             "crossbar:\n  rows: 64\n  cols: 64\n  v_b: 600mV\n"
-            "mismatch:\n  delta_v: 2mV\n"
+            "mismatch:\n  i_max: 0.3uA\n"
         )
         cfg = parse_config(path)
         assert cfg.crossbar.v_b == pytest.approx(0.6)
-        assert cfg.mismatch.delta_v == pytest.approx(2e-3)
+        assert cfg.mismatch.i_max == pytest.approx(0.3e-6)
 
     def test_unknown_key_rejected_with_path(self, tmp_path):
         path = tmp_path / "cfg.yaml"
@@ -93,15 +92,26 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="variation"):
             parse_config(overrides=["variation.relative_sigma=0.5"])
 
-    def test_bank_divisibility_rejected(self):
-        with pytest.raises(ConfigError, match="crossbar"):
-            parse_config(overrides=["crossbar.bank_width=100"])
+    def test_unread_keys_rejected_with_path(self, tmp_path):
+        # Line offsets come from experiment.delta_v_grid, and no command
+        # reads a sense-chain constant or a bank width.
+        for override, where in [
+            ("sense.r_l=2", r"<top>: unknown section\(s\) \['sense'\]"),
+            ("mismatch.delta_v=4mV", r"mismatch: unknown key\(s\) \['delta_v'\]"),
+            ("crossbar.bank_width=128", r"crossbar: unknown key\(s\) \['bank_width'\]"),
+        ]:
+            with pytest.raises(ConfigError, match=where):
+                parse_config(overrides=[override])
+        path = tmp_path / "cfg.yaml"
+        path.write_text("sense:\n  i_max: 0.5uA\n")
+        with pytest.raises(ConfigError, match=r"<top>: unknown section\(s\) \['sense'\]"):
+            parse_config(path)
 
     def test_overrides_with_units(self):
         cfg = parse_config(overrides=["crossbar.rows=128", "crossbar.cols=128",
-                                      "mismatch.delta_v=4mV"])
+                                      "mismatch.i_min=150nA"])
         assert cfg.crossbar.rows == 128
-        assert cfg.mismatch.delta_v == pytest.approx(4e-3)
+        assert cfg.mismatch.i_min == pytest.approx(150e-9)
 
     def test_round_trip_stability(self, tmp_path):
         cfg = parse_config(overrides=["crossbar.rows=32", "crossbar.cols=64",

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from xbarsim.crossbar import (
     Floating,
     LineAttachment,
     ResistiveLoad,
-    bank_partition,
     build_network,
     conventional_cell_bias,
     load_pattern_ascii,
@@ -110,20 +110,6 @@ class TestConventionalBias:
         adj = sp.coo_matrix((np.ones(a.size), (a, b)), shape=(net.n_nodes, net.n_nodes))
         _, labels = connected_components(adj, directed=False)
         assert labels[net.wl_nodes[0, 0]] == labels[net.bl_nodes[1, 0]]
-
-
-class TestBankPartition:
-    def test_paper_banking(self):
-        spec = CrossbarSpec(rows=512, cols=512, bank_width=128)
-        banks = bank_partition(spec)
-        assert len(banks) == 4
-        assert [b.col_start for b in banks] == [0, 128, 256, 384]
-        assert all(len(b.columns) == 128 for b in banks)
-
-    def test_single_bank_degenerate(self):
-        spec = CrossbarSpec(rows=8, cols=8, bank_width=8)
-        banks = bank_partition(spec)
-        assert len(banks) == 1 and list(banks[0].columns) == list(range(8))
 
 
 class TestNetworkStructure:
@@ -333,7 +319,7 @@ class TestNodeNames:
                          "wl[0].terminal_far", "wl[1].terminal_far",
                          "bl[0].terminal", "bl[1].terminal", "bl[2].terminal"]
         nodes_txt = dump_system(net, str(tmp_path / "net"))[1]
-        assert "14 wl[0].terminal_far 1 " in open(nodes_txt).read()
+        assert "14 wl[0].terminal_far 1 " in Path(nodes_txt).read_text()
 
     def test_far_terminal_named_without_wire_resistance(self):
         # r_wire = 0: both ends of a wordline are one rail node

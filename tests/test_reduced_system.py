@@ -9,6 +9,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xbarsim import solver
 from xbarsim.crossbar import (
     BiasMismatch,
     Clamp,
@@ -22,7 +23,6 @@ from xbarsim.devices import CellGrid, LinearDeviceParams, NonlinearDeviceParams,
 from xbarsim.readout import ConventionalSession, RowReadSession, read_cell_conventional
 from xbarsim.solver import (
     SolverConvergenceError,
-    SolverOptions,
     assemble_admittance,
     bitline_currents,
     node_imbalance,
@@ -98,13 +98,13 @@ def test_every_path_matches_direct_solve_within_kcl_bound(
             assert solve(net).kcl_residual <= KCL_BOUND
 
 
-def test_clamped_conventional_session_enforces_its_tolerance():
+def test_clamped_conventional_session_enforces_its_tolerance(monkeypatch):
     spec = CrossbarSpec(rows=6, cols=6, r_wire=10.0)
     rng = np.random.default_rng(4)
     pattern = random_pattern(6, 6, rng)
     cells = CellGrid.sample(6, 6, LinearDeviceParams(), VariationSpec(0.10, 4))
-    session = ConventionalSession(spec, cells, pattern, unselected=Clamp(spec.v_b),
-                                  opts=SolverOptions(abs_tol=1e-30))
+    session = ConventionalSession(spec, cells, pattern, unselected=Clamp(spec.v_b))
+    monkeypatch.setattr(solver, "KCL_TOL", 1e-30)
     with pytest.raises(SolverConvergenceError) as info:
         session.currents([(1, 2), (3, 4)])
     assert info.value.residual > 1e-30
