@@ -267,14 +267,22 @@ def run_power_sweep(cfg: RunConfig, out_dir=None) -> dict:
         pattern, cells, rng = sample_trial(cfg, 2000 + idx, size, size, base)
         sample_rows = sorted(rng.choice(size, size=min(exp.power_rows, size), replace=False).tolist())
         session = RowReadSession(spec0, cells, pattern)
+        if cells.is_linear:
+            # With linear devices and no mismatch offsets the node voltages
+            # are V(v_b) = v_b + (v_dd - v_b) / v_dd * V(0): every branch
+            # voltage scales with v_dd - v_b and every branch power with its
+            # square, so one solve at v_b = 0 serves every hold voltage.
+            power_0 = session.branch_power_from(session.solve_rows(sample_rows, v_b=0.0))
         out = []
         for v_b in exp.v_b_list:
             if not v_b < spec0.v_dd:
                 continue
             spec_vb = dataclasses.replace(spec0, v_b=v_b)
             approx = [analytics.power_row_approx(spec_vb, pattern, cells, i) for i in sample_rows]
-            V = session.solve_rows(sample_rows, v_b=v_b)
-            exact = session.branch_power_from(V)
+            if cells.is_linear:
+                exact = ((spec0.v_dd - v_b) / spec0.v_dd) ** 2 * power_0
+            else:
+                exact = session.branch_power_from(session.solve_rows(sample_rows, v_b=v_b))
             array_approx = sum(
                 analytics.power_row_approx(spec_vb, pattern, cells, i) for i in range(size)
             )

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import xbarsim
+from xbarsim import experiments
 from xbarsim.config import CrossbarConfig, ExperimentConfig, RunConfig, VariationConfig
 from xbarsim.experiments import (
     Histogram,
@@ -18,8 +19,10 @@ from xbarsim.experiments import (
     run_power_sweep,
     run_row_read_map,
     run_scheme_compare,
+    sample_trial,
     seeded_trial_stream,
 )
+from xbarsim.readout import RowReadSession
 
 
 def small_cfg(**exp_kwargs) -> RunConfig:
@@ -151,6 +154,32 @@ class TestPowerSweep:
         lines = (tmp_path / "power-sweep-7.csv").read_text().splitlines()
         # 2 models x 2 sizes x 2 trials x 3 v_b x 2 rows + header
         assert len(lines) == 2 * 2 * 2 * 3 * 2 + 1
+
+    def test_linear_exact_power_matches_per_hold_voltage_solves(self, tmp_path, monkeypatch):
+        # the campaign scales one v_b = 0 solve per linear array; compare its
+        # unrounded values with a solve at every hold voltage
+        cfg = small_cfg()
+        exp = cfg.experiment
+        written = {}
+        monkeypatch.setattr(experiments, "write_csv",
+                            lambda path, header, rows: written.setdefault(path.name, list(rows)))
+        run_power_sweep(cfg, tmp_path)
+        got = {(size, trial, v_b, row): exact
+               for model, size, trial, v_b, row, _, exact, *_ in written["power-sweep-7.csv"]
+               if model == "linear"}
+        base = cfg.device.base_params()
+        want = {}
+        for idx, (size, trial) in enumerate((s, t) for s in exp.sizes for t in range(exp.trials)):
+            pattern, cells, rng = sample_trial(cfg, 2000 + idx, size, size, base)
+            rows = sorted(rng.choice(size, size=exp.power_rows, replace=False).tolist())
+            spec = dataclasses.replace(cfg.crossbar.to_spec(), rows=size, cols=size)
+            session = RowReadSession(spec, cells, pattern)
+            for v_b in exp.v_b_list:
+                power = session.branch_power_from(session.solve_rows(rows, v_b=v_b))
+                want.update({(size, trial, v_b, i): float(p) for i, p in zip(rows, power)})
+        assert got.keys() == want.keys()
+        for key, p in want.items():
+            assert got[key] == pytest.approx(p, rel=1e-12, abs=0)
 
 
 class TestMismatchSweep:

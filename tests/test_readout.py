@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xbarsim import readout
 from xbarsim.crossbar import (
     BiasConfig,
     BiasMismatch,
@@ -40,6 +41,21 @@ from xbarsim.solver import bitline_currents, solve
 NOVAR = VariationSpec(0.0, 0)
 LIN = LinearDeviceParams()
 NON = NonlinearDeviceParams()
+
+
+def _count_solved_columns(session: ConventionalSession) -> list[int]:
+    """Wrap a floating session's factor; the returned list collects the
+    number of columns of every solve."""
+    solved = []
+    lu = session._lu
+
+    class CountingLU:
+        def solve(self, b):
+            solved.append(b.shape[1])
+            return lu.solve(b)
+
+    session._lu = CountingLU()
+    return solved
 
 
 class TestMidpointThreshold:
@@ -161,6 +177,59 @@ class TestConventionalRead:
             read_cell_conventional(spec, cells, pattern, i, j, unselected=unselected)
             for i, j in targets
         ])
+        assert np.abs(got / want - 1).max() < 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 6),
+        cols=st.integers(1, 6),
+        r_wire=st.sampled_from([0.0, 10.0]),
+        r_driver=st.sampled_from([0.0, 25.0]),
+        picks=st.lists(st.tuples(st.integers(0, 35), st.integers(0, 35)), min_size=1, max_size=8),
+        seed=st.integers(0, 2**16),
+    )
+    def test_floating_session_matches_single_cell_solves(
+        self, rows, cols, r_wire, r_driver, picks, seed
+    ):
+        spec = CrossbarSpec(rows=rows, cols=cols, r_wire=r_wire, r_driver=r_driver)
+        pattern = random_pattern(rows, cols, np.random.default_rng(seed))
+        cells = CellGrid.sample(rows, cols, LIN, VariationSpec(0.1, seed))
+        targets = [(a % rows, b % cols) for a, b in picks]
+        # a repeated target, and one on the last bitline (the session's ground)
+        targets += [targets[0], (targets[0][0], cols - 1)]
+        got = ConventionalSession(spec, cells, pattern).currents(targets)
+        want = np.array([read_cell_conventional(spec, cells, pattern, i, j) for i, j in targets])
+        assert np.abs(got / want - 1).max() < 1e-9
+
+    @pytest.mark.parametrize("with_ground_column", [False, True])
+    def test_floating_session_solves_once_per_terminal_line(self, with_ground_column):
+        spec = CrossbarSpec(rows=6, cols=7, r_wire=10.0)
+        pattern = random_pattern(6, 7, np.random.default_rng(17))
+        cells = CellGrid.sample(6, 7, LIN, VariationSpec(0.1, 17))
+        session = ConventionalSession(spec, cells, pattern)
+        targets = [(0, 0), (0, 1), (3, 1), (3, 2), (5, 0), (5, 2), (0, 2), (3, 0)]
+        if with_ground_column:
+            targets += [(5, 6), (0, 6)]
+        solved = _count_solved_columns(session)
+        session.currents(targets)
+        rows = {i for i, _ in targets}
+        cols = {j for _, j in targets}
+        assert sum(solved) == len(rows) + len(cols) - int(with_ground_column)
+        assert sum(solved) < len(targets)
+
+    def test_floating_session_solves_per_cell_when_terminals_overflow_a_batch(self, monkeypatch):
+        # a cell's two terminal columns must share a batch; with room for
+        # only three columns the session takes one column per cell instead
+        spec = CrossbarSpec(rows=6, cols=7, r_wire=10.0, r_driver=25.0)
+        pattern = random_pattern(6, 7, np.random.default_rng(19))
+        cells = CellGrid.sample(6, 7, LIN, VariationSpec(0.1, 19))
+        session = ConventionalSession(spec, cells, pattern)
+        monkeypatch.setattr(readout, "_BATCH_TARGET_FLOATS", 3 * session.net.n_nodes)
+        targets = [(0, 0), (5, 6), (3, 2), (3, 6), (1, 4), (0, 0), (2, 5)]
+        solved = _count_solved_columns(session)
+        got = session.currents(targets)
+        assert solved == [3, 3, 1]
+        want = np.array([read_cell_conventional(spec, cells, pattern, i, j) for i, j in targets])
         assert np.abs(got / want - 1).max() < 1e-9
 
     def test_session_rejects_nonlinear(self):

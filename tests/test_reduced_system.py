@@ -110,6 +110,19 @@ def test_clamped_conventional_session_enforces_its_tolerance(monkeypatch):
     assert info.value.residual > 1e-30
 
 
+def test_floating_conventional_session_enforces_its_tolerance(monkeypatch):
+    spec = CrossbarSpec(rows=6, cols=6, r_wire=10.0)
+    rng = np.random.default_rng(4)
+    pattern = random_pattern(6, 6, rng)
+    cells = CellGrid.sample(6, 6, LinearDeviceParams(), VariationSpec(0.10, 4))
+    session = ConventionalSession(spec, cells, pattern)
+    assert np.all(session.currents([(1, 2), (3, 4)]) > 0)
+    monkeypatch.setattr(solver, "KCL_TOL", 1e-30)
+    with pytest.raises(SolverConvergenceError, match=r"cell \(\d, \d\)") as info:
+        session.currents([(1, 2), (3, 4)])
+    assert info.value.residual > 1e-30
+
+
 def _reference_sensed(net) -> np.ndarray:
     """Bitline currents refined with long-double residuals and voltages."""
     ld = np.longdouble
