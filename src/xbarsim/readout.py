@@ -424,8 +424,6 @@ class ConventionalSession:
             keep[self._ground] = False
             self._keep_index = np.cumsum(keep) - 1
             self._lu = spla.splu(G[keep][:, keep].tocsc())
-            self._incidence = self.net.incidence[keep]
-            self._incidence_t = self._incidence.T.tocsr()
             self._branch_g = np.concatenate([self.net.wire_g, g_dev.ravel()])
         else:
             self.system = ReducedSystem(self.net)
@@ -501,22 +499,45 @@ class ConventionalSession:
         differences (incidence E, branch conductances g), keeps them.
         Z = B'X - X'R equals B'G^-1 B but for the second-order term
         R'G^-1 R, so it is symmetric to that order and the resistance is
-        w'Zw = Z_aa + Z_bb - 2 Z_ab.
+        w'Zw = Z_aa + Z_bb - 2 Z_ab.  The residual is formed with the
+        network's own incidence, the ground held at zero, in slices of an
+        eighth of a batch, so beside its solved block a batch holds only
+        one slice and the session no reduced copy of E.
         """
-        B = sp.csc_matrix((vals, (rows, cols)), shape=(self._incidence.shape[0], k))
-        X = np.ascontiguousarray(self._lu.solve(B.toarray()))
-        branch_i = self._incidence_t @ X
-        branch_i *= self._branch_g[:, None]
-        R = self._incidence @ branch_i
-        del branch_i
-        R[rows, cols] -= vals
-        S = B.T @ X
+        E, g0 = self.net.incidence, self._ground
+        n_red = E.shape[0] - 1
+        B = sp.csc_matrix((vals, (rows, cols)), shape=(n_red, k))
+        dense = np.zeros((n_red, k))  # pages left untouched stay unmapped
+        dense[rows, cols] = vals
+        X = self._lu.solve(dense)
+        del dense
+        touched = np.unique(rows)
+        S = B[touched].T @ X[touched]
         z_diag = np.zeros(k + 1)
-        z_diag[:k] = np.diagonal(S) - np.einsum("ij,ij->j", X, R)
+        z_diag[:k] = np.diagonal(S)
         z_cross = np.zeros((n_a, k - n_a + 1))
-        z_cross[:, :-1] = S[:n_a, n_a:] - X[:, :n_a].T @ R[:, n_a:]
+        z_cross[:, :-1] = S[:n_a, n_a:]
         res = np.zeros(k + 1)
-        res[:k] = np.abs(R).max(axis=0)
+        x = np.zeros(n_red + 1)
+        width = _batch_columns(8 * n_red, k)
+        for s in range(0, k, width):
+            c = slice(s, min(s + width, k))
+            # column by column: a sparse product with one vector runs
+            # faster than with a few
+            R = np.empty((n_red, c.stop - s), order="F")
+            for t in range(s, c.stop):
+                x[:g0], x[g0 + 1:] = X[:g0, t], X[g0:, t]
+                branch_i = E.T @ x
+                branch_i *= self._branch_g
+                r = E @ branch_i
+                R[:g0, t - s], R[g0:, t - s] = r[:g0], r[g0 + 1:]
+            Bc = B[:, c].tocoo()
+            R[Bc.row, Bc.col] -= Bc.data
+            z_diag[c] -= np.einsum("ij,ij->j", X[:, c], R)
+            if c.stop > n_a:
+                lo = max(s, n_a)
+                z_cross[:, lo - n_a:c.stop - n_a] -= X[:, :n_a].T @ R[:, lo - s:]
+            res[c] = np.abs(R, out=R).max(axis=0)
         return z_diag[a] + z_diag[b] - 2.0 * z_cross[a, b - n_a], res[a] + res[b]
 
     def _currents_clamped(self, chunk) -> np.ndarray:

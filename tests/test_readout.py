@@ -232,6 +232,25 @@ class TestConventionalRead:
         want = np.array([read_cell_conventional(spec, cells, pattern, i, j) for i, j in targets])
         assert np.abs(got / want - 1).max() < 1e-9
 
+    def test_floating_session_residual_slices_match_one_slice(self, monkeypatch):
+        # four-column residual slices: the first straddles the wordline and
+        # bitline terminal columns, as a batch of a large array does
+        spec = CrossbarSpec(rows=6, cols=7, r_wire=10.0, r_driver=25.0)
+        pattern = random_pattern(6, 7, np.random.default_rng(23))
+        cells = CellGrid.sample(6, 7, LIN, VariationSpec(0.1, 23))
+        session = ConventionalSession(spec, cells, pattern)
+        targets = [(0, 0), (0, 1), (3, 1), (3, 2), (5, 0), (5, 2), (0, 6), (3, 0)]
+        whole = session.currents(targets)
+        n_red = session.net.n_nodes - 1  # every node but the ground
+        monkeypatch.setattr(readout, "_BATCH_TARGET_FLOATS", 8 * 4 * n_red)
+        assert readout._batch_columns(8 * n_red, len(targets)) == 4
+        solved = _count_solved_columns(session)
+        sliced = session.currents(targets)
+        assert solved == [6]
+        np.testing.assert_allclose(sliced, whole, rtol=1e-14, atol=0)
+        want = np.array([read_cell_conventional(spec, cells, pattern, i, j) for i, j in targets])
+        assert np.abs(sliced / want - 1).max() < 1e-9
+
     def test_session_rejects_nonlinear(self):
         pattern = random_pattern(3, 3, np.random.default_rng(1))
         cells = CellGrid.sample(3, 3, NON, NOVAR)
