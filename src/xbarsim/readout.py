@@ -424,6 +424,9 @@ class ConventionalSession:
             keep[self._ground] = False
             self._keep_index = np.cumsum(keep) - 1
             self._lu = spla.splu(G[keep][:, keep].tocsc())
+            # branch ends and conductances in incidence order: wires, then devices
+            self._branch_a = np.concatenate([self.net.wire_a, self.net.dev_a])
+            self._branch_b = np.concatenate([self.net.wire_b, self.net.dev_b])
             self._branch_g = np.concatenate([self.net.wire_g, g_dev.ravel()])
         else:
             self.system = ReducedSystem(self.net)
@@ -499,13 +502,13 @@ class ConventionalSession:
         differences (incidence E, branch conductances g), keeps them.
         Z = B'X - X'R equals B'G^-1 B but for the second-order term
         R'G^-1 R, so it is symmetric to that order and the resistance is
-        w'Zw = Z_aa + Z_bb - 2 Z_ab.  The residual is formed with the
-        network's own incidence, the ground held at zero, in slices of an
-        eighth of a batch, so beside its solved block a batch holds only
-        one slice and the session no reduced copy of E.
+        w'Zw = Z_aa + Z_bb - 2 Z_ab.  The residual is formed from the
+        branch end nodes, the ground held at zero, in slices of an eighth of
+        a batch, so beside its solved block a batch holds one slice and the
+        session no incidence matrix.
         """
-        E, g0 = self.net.incidence, self._ground
-        n_red = E.shape[0] - 1
+        ends_a, ends_b, g0 = self._branch_a, self._branch_b, self._ground
+        n_red = self.net.n_nodes - 1
         B = sp.csc_matrix((vals, (rows, cols)), shape=(n_red, k))
         dense = np.zeros((n_red, k))  # pages left untouched stay unmapped
         dense[rows, cols] = vals
@@ -522,14 +525,14 @@ class ConventionalSession:
         width = _batch_columns(8 * n_red, k)
         for s in range(0, k, width):
             c = slice(s, min(s + width, k))
-            # column by column: a sparse product with one vector runs
-            # faster than with a few
+            # column by column: one vector at a time runs faster than a few
             R = np.empty((n_red, c.stop - s), order="F")
             for t in range(s, c.stop):
                 x[:g0], x[g0 + 1:] = X[:g0, t], X[g0:, t]
-                branch_i = E.T @ x
+                branch_i = x[ends_a] - x[ends_b]
                 branch_i *= self._branch_g
-                r = E @ branch_i
+                r = np.bincount(ends_a, branch_i, n_red + 1)
+                r -= np.bincount(ends_b, branch_i, n_red + 1)
                 R[:g0, t - s], R[g0:, t - s] = r[:g0], r[g0 + 1:]
             Bc = B[:, c].tocoo()
             R[Bc.row, Bc.col] -= Bc.data
