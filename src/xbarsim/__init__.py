@@ -43,7 +43,6 @@ from .readout import (  # noqa: F401
     read_row_floating,
     read_row_resistive,
 )
-from .sense import LatchedComparator, SenseParams, current_margin_limits, sense_output_voltage  # noqa: F401
 from .solver import (  # noqa: F401
     SingularNetworkError,
     Solution,

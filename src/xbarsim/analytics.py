@@ -75,47 +75,6 @@ def power_exact(net: Network, sol: Solution) -> float:
     return p_wire + p_dev
 
 
-@dataclass(frozen=True)
-class PowerReport:
-    """Per-row approximate read power next to the network-exact value."""
-
-    rows: np.ndarray  # row indices covered
-    row_power_approx: np.ndarray  # W, wire-free sum per row
-    array_power_approx: float  # W, summed over all rows of the array
-    row_power_exact: np.ndarray | None  # W, from network solutions (with wire)
-    includes_wire_resistance: bool
-
-    def __post_init__(self):
-        if (self.row_power_approx < 0).any() or self.array_power_approx < 0:
-            raise ValueError("powers must be nonnegative")
-
-
-def power_report(
-    spec: CrossbarSpec,
-    pattern: np.ndarray,
-    cells: CellGrid,
-    rows=None,
-    exact: bool = True,
-) -> PowerReport:
-    """Approximate per-row read power, optionally with network-exact values."""
-    rows = list(range(spec.rows)) if rows is None else list(rows)
-    approx = np.array([power_row_approx(spec, pattern, cells, i) for i in rows])
-    total = float(sum(power_row_approx(spec, pattern, cells, i) for i in range(spec.rows)))
-    exact_vals = None
-    if exact:
-        exact_vals = np.empty(len(rows))
-        for k, i in enumerate(rows):
-            net = build_network(spec, pattern, cells, row_read_bias(spec, i))
-            exact_vals[k] = power_exact(net, solve(net))
-    return PowerReport(
-        rows=np.array(rows),
-        row_power_approx=approx,
-        array_power_approx=total,
-        row_power_exact=exact_vals,
-        includes_wire_resistance=spec.r_wire > 0,
-    )
-
-
 # Figure of merit ----------------------------------------------------------------
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("mismatch", help="bias-mismatch column-width limits")
     sub.add_parser("compare-schemes", help="error rate of each scheme vs array size")
-    sub.add_parser("selftest", help="run the built-in oracle/invariant battery")
+    sub.add_parser("selftest", help="run acceptance criteria 1, 4, 5, 7, 8 and two quick checks")
     return p
 
 

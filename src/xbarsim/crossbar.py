@@ -264,9 +264,6 @@ def conventional_cell_bias(
 
 # Data patterns ----------------------------------------------------------------
 
-_PATTERN_MAGIC = b"XBP1"
-
-
 def random_pattern(rows: int, cols: int, rng: np.random.Generator, p_lrs: float = 0.5) -> np.ndarray:
     """I.i.d. Bernoulli(p_lrs) stored bits (1 = LRS)."""
     return (rng.random((rows, cols)) < p_lrs).astype(np.int8)
@@ -281,48 +278,6 @@ def check_pattern(spec: CrossbarSpec, pattern: np.ndarray) -> np.ndarray:
     if not np.isin(pattern, (0, 1)).all():
         raise ValueError("pattern entries must be 0 or 1")
     return pattern.astype(np.int8)
-
-
-def save_pattern_ascii(path, pattern: np.ndarray) -> None:
-    with open(path, "w") as f:
-        for row in np.asarray(pattern):
-            f.write("".join("1" if b else "0" for b in row) + "\n")
-
-
-def load_pattern_ascii(path) -> np.ndarray:
-    rows = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            if set(line) - {"0", "1"}:
-                raise ValueError(f"invalid pattern line: {line!r}")
-            rows.append([int(c) for c in line])
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError("pattern file must be a nonempty rectangular 0/1 grid")
-    return np.array(rows, dtype=np.int8)
-
-
-def save_pattern_packed(path, pattern: np.ndarray) -> None:
-    """Binary format: magic 'XBP1', uint32 rows, uint32 cols (little endian),
-    then np.packbits of the row-major bit matrix."""
-    pattern = np.asarray(pattern, dtype=np.uint8)
-    with open(path, "wb") as f:
-        f.write(_PATTERN_MAGIC)
-        f.write(np.array(pattern.shape, dtype="<u4").tobytes())
-        f.write(np.packbits(pattern.ravel()).tobytes())
-
-
-def load_pattern_packed(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != _PATTERN_MAGIC:
-            raise ValueError(f"not a packed pattern file (magic {magic!r})")
-        rows, cols = np.frombuffer(f.read(8), dtype="<u4")
-        data = np.frombuffer(f.read(), dtype=np.uint8)
-    bits = np.unpackbits(data)[: rows * cols]
-    return bits.reshape(int(rows), int(cols)).astype(np.int8)
 
 
 # Network ---------------------------------------------------------------------
@@ -401,21 +356,6 @@ class Network:
     # far (column N-1) end of each wordline: attached under double-sided
     # clamping of a driven or clamped line, TERM_FLOATING otherwise
     wl_attach_far: LineAttachments
-
-    @property
-    def n_device_branches(self) -> int:
-        return self.dev_a.size
-
-    @property
-    def n_wire_branches(self) -> int:
-        """Wire segments only (boundary series branches excluded)."""
-        m, n = self.spec.rows, self.spec.cols
-        return 0 if self.spec.r_wire == 0 else m * (n - 1) + (m - 1) * n
-
-    @property
-    def n_boundary_attachments(self) -> int:
-        return sum(int((a.kind != TERM_FLOATING).sum())
-                   for a in (self.wl_attach, self.wl_attach_far, self.bl_attach))
 
     @cached_property
     def incidence(self) -> sp.csr_matrix:

@@ -127,6 +127,20 @@ def _out_paths(cfg: RunConfig, out_dir, name: str) -> tuple[Path, Path]:
 
 # Conventional-read CDF ----------------------------------------------------------
 
+def _conventional_reads(spec: CrossbarSpec, cells: CellGrid, pattern, rng,
+                        take: int) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """Draw up to ``take`` distinct cells and read each with the conventional
+    single-cell scheme: one ``ConventionalSession`` for linear devices, one
+    Newton solve per cell for sinh devices."""
+    flat = rng.choice(spec.rows * spec.cols, size=min(take, spec.rows * spec.cols), replace=False)
+    targets = [(int(k) // spec.cols, int(k) % spec.cols) for k in flat]
+    if cells.is_linear:
+        return targets, ConventionalSession(spec, cells, pattern).currents(targets)
+    return targets, np.array([
+        readout.read_cell_conventional(spec, cells, pattern, i, j) for i, j in targets
+    ])
+
+
 def run_cdf_conventional(cfg: RunConfig, out_dir=None) -> dict:
     """Sample single-cell conventional reads over random backgrounds and emit
     the per-state current CDFs plus the best achievable threshold error."""
@@ -137,19 +151,8 @@ def run_cdf_conventional(cfg: RunConfig, out_dir=None) -> dict:
 
     def one_background(t: int):
         pattern, cells, rng = sample_trial(cfg, t, spec.rows, spec.cols, base)
-        n_cells = spec.rows * spec.cols
-        take = min(per_bg, n_cells)
-        flat = rng.choice(n_cells, size=take, replace=False)
-        targets = [(int(k) // spec.cols, int(k) % spec.cols) for k in flat]
         try:
-            if cells.is_linear:
-                session = ConventionalSession(spec, cells, pattern)
-                currents = session.currents(targets)
-            else:
-                currents = np.array([
-                    readout.read_cell_conventional(spec, cells, pattern, i, j)
-                    for i, j in targets
-                ])
+            targets, currents = _conventional_reads(spec, cells, pattern, rng, per_bg)
         except SolverConvergenceError as e:
             return t, [], str(e)
         rows = [
@@ -387,16 +390,7 @@ def _scheme_populations(scheme: str, cfg: RunConfig, spec: CrossbarSpec,
         bits = pattern[rows]
         return values.ravel(), bits.ravel(), "A"
     if scheme == SchemeKind.CONVENTIONAL.value:
-        n_cells = spec.rows * spec.cols
-        take = min(exp.sample_cells, 256, n_cells)
-        flat = rng.choice(n_cells, size=take, replace=False)
-        targets = [(int(k) // spec.cols, int(k) % spec.cols) for k in flat]
-        if cells.is_linear:
-            values = ConventionalSession(spec, cells, pattern).currents(targets)
-        else:
-            values = np.array([
-                readout.read_cell_conventional(spec, cells, pattern, i, j) for i, j in targets
-            ])
+        targets, values = _conventional_reads(spec, cells, pattern, rng, min(exp.sample_cells, 256))
         bits = np.array([pattern[i, j] for i, j in targets])
         return values, bits, "A"
     if scheme == SchemeKind.FLOATING_BITLINES.value:

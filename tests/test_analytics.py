@@ -16,7 +16,6 @@ from xbarsim.analytics import (
     mismatch_unwanted_current,
     power_bounds,
     power_exact,
-    power_report,
     power_row_approx,
     render_fom_table,
     technique_fom_table,
@@ -115,16 +114,6 @@ class TestPowerExact:
         p_src = source_power(net, sol)
         slack = net.n_nodes * np.abs(sol.node_voltages).max() * max(sol.kcl_residual, 1e-16)
         assert abs(p_branch - p_src) <= 1e-12 * abs(p_src) + slack
-
-    def test_power_report_shapes(self):
-        spec = CrossbarSpec(rows=5, cols=4, r_wire=10.0)
-        pattern = random_pattern(5, 4, np.random.default_rng(2))
-        cells = CellGrid.sample(5, 4, LIN, VariationSpec(0.1, 2))
-        rep = power_report(spec, pattern, cells, rows=[0, 2])
-        assert rep.rows.tolist() == [0, 2]
-        assert rep.includes_wire_resistance
-        assert (rep.row_power_exact < rep.row_power_approx).all()
-        assert rep.array_power_approx >= rep.row_power_approx.max()
 
 
 class TestFom:

@@ -10,7 +10,6 @@ from xbarsim.crossbar import (
     BIAS_CLAMP,
     BIAS_DRIVE,
     BIAS_FLOATING,
-    BIAS_LOAD,
     FLOATING,
     TERM_DIRECT,
     TERM_FLOATING,
@@ -25,12 +24,8 @@ from xbarsim.crossbar import (
     ResistiveLoad,
     build_network,
     conventional_cell_bias,
-    load_pattern_ascii,
-    load_pattern_packed,
     random_pattern,
     row_read_bias,
-    save_pattern_ascii,
-    save_pattern_packed,
 )
 from xbarsim.devices import CellGrid, LinearDeviceParams, VariationSpec
 from xbarsim.solver import assemble_admittance, bitline_currents, dump_system, solve
@@ -112,14 +107,19 @@ class TestConventionalBias:
         assert labels[net.wl_nodes[0, 0]] == labels[net.bl_nodes[1, 0]]
 
 
+def _attached_line_ends(net):
+    return sum(int((a.kind != TERM_FLOATING).sum())
+               for a in (net.wl_attach, net.wl_attach_far, net.bl_attach))
+
+
 class TestNetworkStructure:
     def test_smallest_ideal_network(self):
         spec = CrossbarSpec(rows=1, cols=1, r_wire=0.0)
         cells = CellGrid.sample(1, 1, LinearDeviceParams(), NOVAR)
         net = build_network(spec, np.ones((1, 1), np.int8), cells, row_read_bias(spec, 0))
         assert net.n_nodes == 2
-        assert net.n_device_branches == 1
-        assert net.n_boundary_attachments == 2
+        assert net.dev_a.size == 1
+        assert _attached_line_ends(net) == 2
         assert net.fixed_mask.all()
 
     @pytest.mark.parametrize("m,n", [(1, 1), (1, 5), (5, 1), (3, 4), (7, 7), (12, 9)])
@@ -127,9 +127,9 @@ class TestNetworkStructure:
         spec = CrossbarSpec(rows=m, cols=n, r_wire=10.0)
         cells = CellGrid.sample(m, n, LinearDeviceParams(), NOVAR)
         net = build_network(spec, np.zeros((m, n), np.int8), cells, row_read_bias(spec, 0))
-        assert net.n_device_branches == m * n
-        assert net.n_wire_branches == m * (n - 1) + (m - 1) * n
-        assert net.wire_a.size == net.n_wire_branches  # r_driver=0: no boundary branches
+        assert net.dev_a.size == m * n
+        # r_driver=0: no boundary branches, so every wire branch is a segment
+        assert net.wire_a.size == m * (n - 1) + (m - 1) * n
         assert net.n_nodes == 2 * m * n
 
     def test_branch_counts_exhaustive_small(self):
@@ -138,18 +138,19 @@ class TestNetworkStructure:
                 spec = CrossbarSpec(rows=m, cols=n, r_wire=10.0)
                 cells = CellGrid.sample(m, n, LinearDeviceParams(), NOVAR)
                 net = build_network(spec, np.zeros((m, n), np.int8), cells, row_read_bias(spec, 0))
-                assert net.n_wire_branches == m * (n - 1) + (m - 1) * n
+                assert net.wire_a.size == m * (n - 1) + (m - 1) * n
         spec = CrossbarSpec(rows=64, cols=64, r_wire=10.0)
         cells = CellGrid.sample(64, 64, LinearDeviceParams(), NOVAR)
         net = build_network(spec, np.zeros((64, 64), np.int8), cells, row_read_bias(spec, 0))
-        assert net.n_wire_branches == 64 * 63 * 2
+        assert net.wire_a.size == 64 * 63 * 2
 
     def test_driver_resistance_adds_terminals(self):
         spec = CrossbarSpec(rows=2, cols=3, r_wire=10.0, r_driver=100.0)
         cells = CellGrid.sample(2, 3, LinearDeviceParams(), NOVAR)
         net = build_network(spec, np.zeros((2, 3), np.int8), cells, row_read_bias(spec, 0))
         assert net.n_nodes == 2 * 6 + 5  # one terminal per attached line
-        assert net.wire_a.size == net.n_wire_branches + 5
+        assert _attached_line_ends(net) == 5
+        assert net.wire_a.size == 2 * 2 + 1 * 3 + 5  # segments plus one series branch each
 
     def test_construction_deterministic(self):
         spec = CrossbarSpec(rows=5, cols=6, r_wire=10.0)
@@ -220,32 +221,6 @@ class TestIdealRailLimit:
         dv = wl_v[:, None] - bl_v[None, :]
         want = cells.currents(pattern, dv).sum(axis=0)
         assert np.abs(got - want).max() < 1e-15
-
-
-class TestPatternIO:
-    def test_ascii_round_trip(self, tmp_path):
-        pattern = random_pattern(5, 9, np.random.default_rng(0))
-        path = tmp_path / "p.txt"
-        save_pattern_ascii(path, pattern)
-        assert np.array_equal(load_pattern_ascii(path), pattern)
-
-    def test_packed_round_trip(self, tmp_path):
-        pattern = random_pattern(7, 13, np.random.default_rng(1))
-        path = tmp_path / "p.bin"
-        save_pattern_packed(path, pattern)
-        assert np.array_equal(load_pattern_packed(path), pattern)
-
-    def test_packed_rejects_garbage(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE1234")
-        with pytest.raises(ValueError):
-            load_pattern_packed(path)
-
-    def test_ascii_rejects_ragged(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("010\n01\n")
-        with pytest.raises(ValueError):
-            load_pattern_ascii(path)
 
 
 def test_resistive_load_validation():
