@@ -23,13 +23,9 @@ from .devices import (  # noqa: F401
     HRS,
     LRS,
     CellGrid,
-    CellState,
     LinearDeviceParams,
     NonlinearDeviceParams,
     VariationSpec,
-    device_conductance,
-    device_current,
-    sample_cell,
 )
 from .oracle import dense_reference_solve  # noqa: F401
 from .readout import (  # noqa: F401

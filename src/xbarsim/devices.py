@@ -73,22 +73,6 @@ class VariationSpec:
             )
 
 
-@dataclass(frozen=True)
-class CellState:
-    """One crossbar cell: stored bit plus realized (post-variation) parameters.
-
-    Both states' parameters are realized per cell; ``stored_bit`` selects the
-    active branch at evaluation time.
-    """
-
-    stored_bit: int
-    params: DeviceParams
-
-    def __post_init__(self):
-        if self.stored_bit not in (LRS, HRS):
-            raise ValueError(f"stored_bit must be {LRS} (LRS) or {HRS} (HRS)")
-
-
 def _splitmix64(x: np.ndarray) -> np.ndarray:
     # Standard splitmix64 finalizer; uint64 arithmetic wraps mod 2**64.
     with np.errstate(over="ignore"):
@@ -122,49 +106,14 @@ def variation_factor(var: VariationSpec, i, j, draw: int) -> np.ndarray:
     return 1.0 + var.relative_sigma * q
 
 
-def sample_cell(bit: int, base: DeviceParams, var: VariationSpec, i: int, j: int) -> CellState:
-    """Realize one cell's parameters at coordinates (i, j).
-
-    Both states receive independent variation factors (draws 0 and 1);
-    results depend only on (var.seed, i, j).
-    """
-    f_on = float(variation_factor(var, i, j, draw=0))
-    f_off = float(variation_factor(var, i, j, draw=1))
-    if isinstance(base, LinearDeviceParams):
-        params = LinearDeviceParams(base.lrs_ohms * f_on, base.hrs_ohms * f_off)
-    elif isinstance(base, NonlinearDeviceParams):
-        params = NonlinearDeviceParams(base.k_on * f_on, base.k_off * f_off, base.a)
-    else:
-        raise TypeError(f"unsupported device parameters: {type(base).__name__}")
-    return CellState(stored_bit=bit, params=params)
-
-
-def device_current(cell: CellState, v: float) -> float:
-    """Device current at voltage v (wordline side positive)."""
-    p = cell.params
-    if isinstance(p, LinearDeviceParams):
-        r = p.lrs_ohms if cell.stored_bit == LRS else p.hrs_ohms
-        return v / r
-    k = p.k_on if cell.stored_bit == LRS else p.k_off
-    return k * np.sinh(p.a * v)
-
-
-def device_conductance(cell: CellState, v: float) -> float:
-    """Differential conductance dI/dV at voltage v; always positive."""
-    p = cell.params
-    if isinstance(p, LinearDeviceParams):
-        r = p.lrs_ohms if cell.stored_bit == LRS else p.hrs_ohms
-        return 1.0 / r
-    k = p.k_on if cell.stored_bit == LRS else p.k_off
-    return k * p.a * np.cosh(p.a * v)
-
-
 class CellGrid:
-    """Realized parameters for every cell of an M x N array.
+    """Realized parameters for every cell of an M x N array, and the device
+    law (``currents``, ``conductances``) every solve evaluates.
 
-    Grid sampling uses the same (seed, i, j)-keyed factors as
-    :func:`sample_cell`, so ``grid.cell(i, j, bit)`` equals the scalar path.
-    Arrays are read-only after construction.
+    Both states of cell (i, j) receive independent variation factors
+    (draws 0 and 1) keyed by (seed, i, j) alone, so a cell's values do not
+    depend on the grid size or on sampling order.  Arrays are read-only
+    after construction.
     """
 
     def __init__(self, base: DeviceParams, var: VariationSpec, on_values: np.ndarray, off_values: np.ndarray):
@@ -205,15 +154,6 @@ class CellGrid:
     def off_values(self) -> np.ndarray:
         """Per-cell HRS resistance (linear) or k_off (nonlinear)."""
         return self._off
-
-    def cell(self, i: int, j: int, bit: int) -> CellState:
-        if isinstance(self.base, LinearDeviceParams):
-            params = LinearDeviceParams(float(self._on[i, j]), float(self._off[i, j]))
-        else:
-            params = NonlinearDeviceParams(
-                float(self._on[i, j]), float(self._off[i, j]), self.base.a
-            )
-        return CellState(stored_bit=bit, params=params)
 
     def active_conductances(self, pattern: np.ndarray) -> np.ndarray:
         """Per-cell small-signal conductance for the stored states at zero bias."""

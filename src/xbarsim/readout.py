@@ -1,14 +1,15 @@
-"""Read schemes: one-cycle row readout plus the baseline single-cell,
-floating-bitline, and resistive-load reads, with threshold classification
-and error statistics.
+"""Read schemes: one-cycle row readout plus the baseline reads it is
+compared against (the conventional single-cell read with unselected lines
+floating, and floating-bitline and resistive-load row reads), with
+threshold classification and error statistics.
 
 Besides the one-shot operations, two session classes reuse a single sparse
 factorization across many reads of the same sampled array: row reads share
 one matrix for every selected row (only the right-hand side changes; sinh
 devices iterate on a frozen flat-start Jacobian with true-residual
-verification), and single-cell sweeps with floating unselected lines take
-one solve per distinct terminal line, from which every cell's two-terminal
-effective resistance follows.
+verification), and single-cell sweeps take one solve per distinct terminal
+line, from which every cell's two-terminal effective resistance follows.
+Both factor through ``solver.ReducedSystem``.
 """
 
 from __future__ import annotations
@@ -19,10 +20,13 @@ from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+# Unused here, but kept: the layer tracer in ``perfbench/layers.py`` wraps
+# SuperLU through each traced module's ``spla`` attribute.
+import scipy.sparse.linalg as spla  # noqa: F401
 
 from . import solver
 from .crossbar import (
+    BIAS_CLAMP,
     BIAS_DRIVE,
     FLOATING,
     TERM_FLOATING,
@@ -30,7 +34,6 @@ from .crossbar import (
     BiasMismatch,
     Clamp,
     CrossbarSpec,
-    Floating,
     Network,
     ResistiveLoad,
     build_network,
@@ -43,10 +46,8 @@ from .devices import LRS, CellGrid, DeviceParams, ideal_state_currents
 from .solver import (
     ReducedSystem,
     SolverConvergenceError,
-    assemble_admittance,
     bitline_currents,
     branch_currents_at,
-    check_grounded,
     node_imbalance,
     solve,
     solve_nonlinear,
@@ -82,10 +83,6 @@ class ReadResult:
     @property
     def n_errors(self) -> int:
         return int((self.classified_bits != self.true_bits).sum())
-
-    @property
-    def error_positions(self) -> np.ndarray:
-        return self.columns[self.classified_bits != self.true_bits]
 
     def csv_rows(self):
         """Rows of (row, col, true_bit, sensed value, read_bit)."""
@@ -193,12 +190,11 @@ def read_cell_conventional(
     pattern: np.ndarray,
     i: int,
     j: int,
-    unselected=FLOATING,
 ) -> float:
     """Single-cell read current (main path plus sneak paths) with the
     selected wordline driven, the selected bitline grounded, and the other
-    lines terminated per ``unselected``."""
-    net = build_network(spec, pattern, cells, conventional_cell_bias(spec, i, j, unselected))
+    lines floating."""
+    net = build_network(spec, pattern, cells, conventional_cell_bias(spec, i, j))
     sol = solve(net)
     return float(bitline_currents(net, sol, columns=[j])[0])
 
@@ -366,99 +362,62 @@ class RowReadSession:
 
 
 class ConventionalSession:
-    """Batched single-cell conventional reads on one sampled linear array.
+    """Batched single-cell conventional reads on one sampled linear array,
+    unselected lines floating.
 
-    With unselected lines floating, the read reduces to the two-terminal
-    effective resistance between the driven wordline end p and the grounded
-    bitline end q, R(p, q) = Z_pp + Z_qq - Z_pq - Z_qp, where Z is the
-    inverse of the grounded interior Laplacian restricted to the line
-    terminals (Klein & Randic, J. Math. Chem. 12, 1993).  One factorization
-    and one back-substitution per distinct wordline and bitline answer
-    every cell (one per cell when the terminals outnumber a batch or the
-    cells).  The branch-form residual of those solves corrects each
-    resistance and, scaled by the cell's current, is checked against
-    ``solver.KCL_TOL``.  With unselected lines clamped, the fixed-node set
-    is cell-independent, so one ``ReducedSystem`` solves and refines every
-    cell's bias as one batch.
+    The read reduces to the two-terminal effective resistance between the
+    driven wordline end p and the sensed bitline end q,
+    R(p, q) = Z_pp + Z_qq - Z_pq - Z_qp, where Z is the inverse of the
+    interior Laplacian grounded at the last bitline's sense end, restricted
+    to the line terminals (Klein & Randic, J. Math. Chem. 12, 1993).  The
+    session network's only fixed node is that ground, so the grounded
+    Laplacian is the unknown block of its ``ReducedSystem``.  One
+    factorization and one back-substitution per distinct wordline and
+    bitline answer every cell (one per cell when the terminals outnumber a
+    batch or the cells).  The branch-form residual of those solves corrects
+    each resistance and, scaled by the cell's current, is checked against
+    ``solver.KCL_TOL``.
     """
 
-    def __init__(
-        self,
-        spec: CrossbarSpec,
-        cells: CellGrid,
-        pattern: np.ndarray,
-        unselected=FLOATING,
-    ):
+    def __init__(self, spec: CrossbarSpec, cells: CellGrid, pattern: np.ndarray):
         if not cells.is_linear:
             raise TypeError(
                 "ConventionalSession supports linear devices; use "
                 "read_cell_conventional for sinh devices"
             )
-        if not isinstance(unselected, (Floating, Clamp)):
-            raise TypeError("unselected termination must be Floating or Clamp")
-        self.spec = spec
-        self.cells = cells
-        self.pattern = check_pattern(spec, pattern)
-        self.unselected = unselected
-
-        self._floating = isinstance(unselected, Floating)
-        if self._floating and spec.double_sided_clamps:
+        if spec.double_sided_clamps:
             raise ValueError(
                 "ConventionalSession's effective-resistance path assumes a "
                 "single-ended drive; use read_cell_conventional for "
                 "double-sided specs"
             )
-        base_spec = dataclasses.replace(spec, r_driver=0.0) if self._floating else spec
-        bias = conventional_cell_bias(base_spec, 0, 0, unselected)
-        self.net = build_network(base_spec, self.pattern, cells, bias)
-        g_dev = cells.active_conductances(self.pattern)
-        self._p_nodes = self.net.wl_nodes[:, 0]
-        self._q_nodes = self.net.bl_nodes[spec.rows - 1, :]
-        if self._floating:
-            # Ground the interior Laplacian at the last bitline's sense end;
-            # queries touching the ground node drop that unit entry.
-            check_grounded(self.net)
-            G = assemble_admittance(self.net, g_dev)
-            self._ground = int(self._q_nodes[-1])
-            keep = np.ones(self.net.n_nodes, dtype=bool)
-            keep[self._ground] = False
-            self._keep_index = np.cumsum(keep) - 1
-            self._lu = spla.splu(G[keep][:, keep].tocsc())
-            # branch ends and conductances in incidence order: wires, then devices
-            self._branch_a = np.concatenate([self.net.wire_a, self.net.dev_a])
-            self._branch_b = np.concatenate([self.net.wire_b, self.net.dev_b])
-            self._branch_g = np.concatenate([self.net.wire_g, g_dev.ravel()])
-        else:
-            self.system = ReducedSystem(self.net)
-            self.system.factor(g_dev)
-            self._bl_ctrl = self.net.bl_attach.control_node
+        self.spec = spec
+        self.cells = cells
+        self.pattern = check_pattern(spec, pattern)
+        # The two drivers add 2 r_driver in series with R(p, q).
+        bl_kind, bl_v, bl_r = line_arrays(spec.cols, FLOATING)
+        bl_kind[-1], bl_v[-1] = BIAS_CLAMP, 0.0
+        bias = BiasConfig(*line_arrays(spec.rows, FLOATING), bl_kind, bl_v, bl_r)
+        self.net = build_network(dataclasses.replace(spec, r_driver=0.0), self.pattern, cells, bias)
+        self.system = ReducedSystem(self.net)
+        self.system.factor(cells.active_conductances(self.pattern))
+        # Unknown-vector positions of each wordline's driven end and each
+        # bitline's sense end; -1 marks the ground.
+        unknown = self.system.unknown
+        self._p = np.searchsorted(unknown, self.net.wl_nodes[:, 0])
+        self._q = np.searchsorted(unknown, self.net.bl_nodes[spec.rows - 1, :])
+        self._q[-1] = -1
 
     def currents(self, cells_ij) -> np.ndarray:
-        """Sensed current for each (i, j) target, batched."""
+        """Sensed current for each (i, j) target: one solved column per
+        distinct terminal when the terminals fit one batch and number no
+        more than the cells (a cell's two columns must share a batch), else
+        one column per cell."""
         cells_ij = list(cells_ij)
-        if self._floating:
-            return self._currents_floating(cells_ij)
-        out = np.empty(len(cells_ij))
-        step = _batch_columns(self.net.n_nodes, len(cells_ij))
-        for s in range(0, len(cells_ij), step):
-            chunk = cells_ij[s:s + step]
-            out[s:s + len(chunk)] = self._currents_clamped(chunk)
-        return out
-
-    def current(self, i: int, j: int) -> float:
-        return float(self.currents([(i, j)])[0])
-
-    def _currents_floating(self, cells_ij) -> np.ndarray:
-        """Effective-resistance currents: one solved column per distinct
-        terminal when the terminals fit one batch and number no more than
-        the cells (a cell's two columns must share a batch), else one
-        column per cell."""
         if not cells_ij:
             return np.empty(0)
         ii, jj = (np.array(x, dtype=np.int64) for x in zip(*cells_ij))
-        p = self._keep_index[self._p_nodes[ii]]
-        q_nodes = self._q_nodes[jj]
-        q = np.where(q_nodes == self._ground, -1, self._keep_index[q_nodes])
+        p, q = self._p[ii], self._q[jj]
         p_terms, q_terms = np.unique(p), np.unique(q[q >= 0])
         n_p, n_t = p_terms.size, p_terms.size + q_terms.size
         step = _batch_columns(self.net.n_nodes, len(cells_ij))
@@ -489,6 +448,9 @@ class ConventionalSession:
             )
         return out
 
+    def current(self, i: int, j: int) -> float:
+        return float(self.currents([(i, j)])[0])
+
     def _pair_resistances(self, rows, cols, vals, k, n_a, a, b):
         """Effective resistance of w = e_a - e_b over the k columns of the
         sparse right-hand side B, and a bound on the KCL residual of its
@@ -498,21 +460,19 @@ class ConventionalSession:
         The assembled Laplacian rounds device conductances away where they
         sit beside wire conductances on its diagonal, so X = G^-1 B alone
         gives resistances up to 1.2e-6 relative off (an all-HRS 256x256
-        array).  The residual R = E g E'X - B, formed from branch voltage
-        differences (incidence E, branch conductances g), keeps them.
-        Z = B'X - X'R equals B'G^-1 B but for the second-order term
-        R'G^-1 R, so it is symmetric to that order and the resistance is
-        w'Zw = Z_aa + Z_bb - 2 Z_ab.  The residual is formed from the
-        branch end nodes, the ground held at zero, in slices of an eighth of
-        a batch, so beside its solved block a batch holds one slice and the
-        session no incidence matrix.
+        array).  The residual R = E g E'X - B, the system's branch-form
+        imbalance, keeps them.  Z = B'X - X'R equals B'G^-1 B but for the
+        second-order term R'G^-1 R, so it is symmetric to that order and the
+        resistance is w'Zw = Z_aa + Z_bb - 2 Z_ab.  The residual is formed
+        one column at a time, in slices of an eighth of a batch, so beside
+        its solved block a batch holds one slice.
         """
-        ends_a, ends_b, g0 = self._branch_a, self._branch_b, self._ground
-        n_red = self.net.n_nodes - 1
+        system = self.system
+        n_red = system.unknown.size
         B = sp.csc_matrix((vals, (rows, cols)), shape=(n_red, k))
         dense = np.zeros((n_red, k))  # pages left untouched stay unmapped
         dense[rows, cols] = vals
-        X = self._lu.solve(dense)
+        X = system.lu.solve(dense)
         del dense
         touched = np.unique(rows)
         S = B[touched].T @ X[touched]
@@ -521,19 +481,15 @@ class ConventionalSession:
         z_cross = np.zeros((n_a, k - n_a + 1))
         z_cross[:, :-1] = S[:n_a, n_a:]
         res = np.zeros(k + 1)
-        x = np.zeros(n_red + 1)
+        x = np.zeros(self.net.n_nodes)  # the ground stays at zero
         width = _batch_columns(8 * n_red, k)
         for s in range(0, k, width):
             c = slice(s, min(s + width, k))
             # column by column: one vector at a time runs faster than a few
             R = np.empty((n_red, c.stop - s), order="F")
             for t in range(s, c.stop):
-                x[:g0], x[g0 + 1:] = X[:g0, t], X[g0:, t]
-                branch_i = x[ends_a] - x[ends_b]
-                branch_i *= self._branch_g
-                r = np.bincount(ends_a, branch_i, n_red + 1)
-                r -= np.bincount(ends_b, branch_i, n_red + 1)
-                R[:g0, t - s], R[g0:, t - s] = r[:g0], r[g0 + 1:]
+                x[system.unknown] = X[:, t]
+                R[:, t - s] = system.imbalance(x)
             Bc = B[:, c].tocoo()
             R[Bc.row, Bc.col] -= Bc.data
             z_diag[c] -= np.einsum("ij,ij->j", X[:, c], R)
@@ -542,13 +498,3 @@ class ConventionalSession:
                 z_cross[:, lo - n_a:c.stop - n_a] -= X[:, :n_a].T @ R[:, lo - s:]
             res[c] = np.abs(R, out=R).max(axis=0)
         return z_diag[a] + z_diag[b] - 2.0 * z_cross[a, b - n_a], res[a] + res[b]
-
-    def _currents_clamped(self, chunk) -> np.ndarray:
-        ii, jj = (np.array(x, dtype=np.int64) for x in zip(*chunk))
-        k = np.arange(len(chunk))
-        wl_v = np.full((self.spec.rows, len(chunk)), self.unselected.v)
-        wl_v[ii, k] = self.spec.v_dd
-        bl_v = np.full((self.spec.cols, len(chunk)), self.unselected.v)
-        bl_v[jj, k] = 0.0
-        V, _ = self.system.solve(_line_voltages(self.net, wl_v, bl_v))
-        return -node_imbalance(self.net, V)[self._bl_ctrl[jj], k]

@@ -278,20 +278,6 @@ def bitline_currents(net: Network, sol: Solution, columns=None) -> np.ndarray:
     return -node_imbalance(net, sol.node_voltages)[att.control_node[columns]]
 
 
-def wordline_source_currents(net: Network, sol: Solution) -> np.ndarray:
-    """Current each wordline source delivers into the network (NaN if
-    floating); both line ends are summed under double-sided clamping, unless
-    they share one control node (zero wire and driver resistance)."""
-    leaving = node_imbalance(net, sol.node_voltages)
-    near, far = net.wl_attach, net.wl_attach_far
-    out = np.full(net.spec.rows, np.nan)
-    on = near.kind != TERM_FLOATING
-    out[on] = leaving[near.control_node[on]]
-    both = on & (far.kind != TERM_FLOATING) & (far.control_node != near.control_node)
-    out[both] += leaving[far.control_node[both]]
-    return out
-
-
 def source_power(net: Network, sol: Solution) -> float:
     """Total power injected by all boundary sources (Tellegen counterpart
     of branch dissipation)."""

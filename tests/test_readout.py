@@ -44,17 +44,17 @@ NON = NonlinearDeviceParams()
 
 
 def _count_solved_columns(session: ConventionalSession) -> list[int]:
-    """Wrap a floating session's factor; the returned list collects the
-    number of columns of every solve."""
+    """Wrap a session's factor; the returned list collects the number of
+    columns of every solve."""
     solved = []
-    lu = session._lu
+    lu = session.system.lu
 
     class CountingLU:
         def solve(self, b):
             solved.append(b.shape[1])
             return lu.solve(b)
 
-    session._lu = CountingLU()
+    session.system.lu = CountingLU()
     return solved
 
 
@@ -165,34 +165,24 @@ class TestConventionalRead:
         want = np.array([read_cell_conventional(spec, cells, pattern, i, j) for i, j in targets])
         assert np.abs(got / want - 1).max() < 1e-9
 
-    def test_session_matches_direct_solve_clamped(self):
-        spec = CrossbarSpec(rows=5, cols=5, r_wire=10.0)
-        pattern = random_pattern(5, 5, np.random.default_rng(21))
-        cells = CellGrid.sample(5, 5, LIN, VariationSpec(0.1, 21))
-        unselected = Clamp(0.7)
-        session = ConventionalSession(spec, cells, pattern, unselected=unselected)
-        targets = [(0, 4), (4, 0), (2, 2)]
-        got = session.currents(targets)
-        want = np.array([
-            read_cell_conventional(spec, cells, pattern, i, j, unselected=unselected)
-            for i, j in targets
-        ])
-        assert np.abs(got / want - 1).max() < 1e-9
-
     @settings(max_examples=60, deadline=None)
     @given(
         rows=st.integers(1, 6),
         cols=st.integers(1, 6),
         r_wire=st.sampled_from([0.0, 10.0]),
         r_driver=st.sampled_from([0.0, 25.0]),
+        fill=st.sampled_from(["lrs", "hrs", "random"]),
         picks=st.lists(st.tuples(st.integers(0, 35), st.integers(0, 35)), min_size=1, max_size=8),
         seed=st.integers(0, 2**16),
     )
     def test_floating_session_matches_single_cell_solves(
-        self, rows, cols, r_wire, r_driver, picks, seed
+        self, rows, cols, r_wire, r_driver, fill, picks, seed
     ):
         spec = CrossbarSpec(rows=rows, cols=cols, r_wire=r_wire, r_driver=r_driver)
-        pattern = random_pattern(rows, cols, np.random.default_rng(seed))
+        if fill == "random":
+            pattern = random_pattern(rows, cols, np.random.default_rng(seed))
+        else:
+            pattern = np.full((rows, cols), LRS if fill == "lrs" else HRS, dtype=np.int8)
         cells = CellGrid.sample(rows, cols, LIN, VariationSpec(0.1, seed))
         targets = [(a % rows, b % cols) for a, b in picks]
         # a repeated target, and one on the last bitline (the session's ground)
@@ -332,7 +322,7 @@ class TestReadResult:
         rows = list(res.csv_rows())
         assert rows[0][:3] == (0, 0, 1)
         assert len(rows) == 3
-        assert res.n_errors == 0 and res.error_positions.size == 0
+        assert res.n_errors == 0
 
     def test_classify_convention(self):
         bits = classify(np.array([1e-6, 1e-9]), 1.58e-8)

@@ -12,15 +12,13 @@ from hypothesis import strategies as st
 from xbarsim import solver
 from xbarsim.crossbar import (
     BiasMismatch,
-    Clamp,
     CrossbarSpec,
     build_network,
-    conventional_cell_bias,
     random_pattern,
     row_read_bias,
 )
 from xbarsim.devices import CellGrid, LinearDeviceParams, NonlinearDeviceParams, VariationSpec
-from xbarsim.readout import ConventionalSession, RowReadSession, read_cell_conventional
+from xbarsim.readout import ConventionalSession, RowReadSession
 from xbarsim.solver import (
     SolverConvergenceError,
     assemble_admittance,
@@ -84,30 +82,6 @@ def test_every_path_matches_direct_solve_within_kcl_bound(
         assert _kcl(net, sol.node_voltages) <= KCL_BOUND
         assert _in_hull(sol.node_voltages, net.fixed_voltage[net.fixed_mask])
         np.testing.assert_allclose(got[i], bitline_currents(net, sol), rtol=0, atol=1e-12)
-
-    if linear:
-        clamp = Clamp(spec.v_b)
-        conv = ConventionalSession(spec, cells, pattern, unselected=clamp)
-        targets = [(i, j) for i in range(rows) for j in range(cols)]
-        currents = conv.currents(targets)
-        for (i, j), c in zip(targets, currents):
-            want = read_cell_conventional(spec, cells, pattern, i, j, unselected=clamp)
-            assert abs(c - want) <= 1e-12
-        for i, j in targets[:3]:
-            net = build_network(spec, pattern, cells, conventional_cell_bias(spec, i, j, clamp))
-            assert solve(net).kcl_residual <= KCL_BOUND
-
-
-def test_clamped_conventional_session_enforces_its_tolerance(monkeypatch):
-    spec = CrossbarSpec(rows=6, cols=6, r_wire=10.0)
-    rng = np.random.default_rng(4)
-    pattern = random_pattern(6, 6, rng)
-    cells = CellGrid.sample(6, 6, LinearDeviceParams(), VariationSpec(0.10, 4))
-    session = ConventionalSession(spec, cells, pattern, unselected=Clamp(spec.v_b))
-    monkeypatch.setattr(solver, "KCL_TOL", 1e-30)
-    with pytest.raises(SolverConvergenceError) as info:
-        session.currents([(1, 2), (3, 4)])
-    assert info.value.residual > 1e-30
 
 
 def test_floating_conventional_session_enforces_its_tolerance(monkeypatch):

@@ -28,7 +28,6 @@ from xbarsim.solver import (
     solve_linear,
     solve_nonlinear,
     source_power,
-    wordline_source_currents,
 )
 
 NOVAR = VariationSpec(0.0, 0)
@@ -193,26 +192,6 @@ class TestPhysicsInvariants:
         i0 = solve(build_network(spec, pattern, cells, b0)).branch_currents
         i1 = solve(build_network(spec, pattern, cells, b1)).branch_currents
         assert np.abs(i0 - i1).max() < 1e-12
-
-    def test_current_conservation_sources_vs_bitlines(self):
-        spec = CrossbarSpec(rows=5, cols=6, r_wire=10.0)
-        net = build(spec, LIN, row_read_bias(spec, 2), sigma=0.1, seed=9)
-        sol = solve(net)
-        into_bitlines = bitline_currents(net, sol).sum()
-        from_sources = np.nansum(wordline_source_currents(net, sol))
-        assert into_bitlines == pytest.approx(from_sources, abs=1e-12)
-
-    @pytest.mark.parametrize("r_wire", [0.0, 10.0])
-    @pytest.mark.parametrize("r_driver", [0.0, 5.0])
-    def test_double_sided_source_current_is_row_device_sum(self, r_wire, r_driver):
-        # both wordline ends feed the line; with zero wire and driver
-        # resistance they are one fixed node and must be counted once
-        spec = CrossbarSpec(rows=3, cols=4, r_wire=r_wire, r_driver=r_driver,
-                            double_sided_clamps=True)
-        net = build(spec, LIN, row_read_bias(spec, 1), sigma=0.1, seed=2)
-        sol = solve(net)
-        per_row = sol.device_currents.reshape(3, 4).sum(axis=1)
-        assert np.abs(wordline_source_currents(net, sol) - per_row).max() < 1e-15
 
 
 class TestOracleEquivalence:
