@@ -341,6 +341,7 @@ class Network:
     spec: CrossbarSpec
     pattern: np.ndarray
     cells: CellGrid
+    active_params: np.ndarray  # (M, N) device parameter of each stored state
     n_nodes: int
     fixed_mask: np.ndarray
     fixed_voltage: np.ndarray
@@ -475,6 +476,7 @@ def build_network(
         spec=spec,
         pattern=pattern,
         cells=cells,
+        active_params=cells.active_params(pattern),
         n_nodes=n_nodes,
         fixed_mask=fixed_mask,
         fixed_voltage=fixed_voltage,
@@ -490,6 +492,6 @@ def build_network(
         wl_attach_far=wl_attach_far,
     )
     for arr in (net.fixed_mask, net.fixed_voltage, net.wire_a, net.wire_b, net.wire_g,
-                net.dev_a, net.dev_b, net.wl_nodes, net.bl_nodes, net.pattern):
+                net.dev_a, net.dev_b, net.wl_nodes, net.bl_nodes, net.pattern, net.active_params):
         arr.setflags(write=False)
     return net

@@ -155,29 +155,29 @@ class CellGrid:
         """Per-cell HRS resistance (linear) or k_off (nonlinear)."""
         return self._off
 
+    def active_params(self, pattern: np.ndarray) -> np.ndarray:
+        """Per-cell parameter of the stored state: resistance (linear) or k
+        (nonlinear).  ``currents`` and ``conductances`` take this grid."""
+        return np.where(pattern == LRS, self._on, self._off)
+
     def active_conductances(self, pattern: np.ndarray) -> np.ndarray:
         """Per-cell small-signal conductance for the stored states at zero bias."""
-        if self.is_linear:
-            r = np.where(pattern == LRS, self._on, self._off)
-            return 1.0 / r
-        k = np.where(pattern == LRS, self._on, self._off)
-        return k * self.base.a
+        p = self.active_params(pattern)
+        return 1.0 / p if self.is_linear else p * self.base.a
 
-    def currents(self, pattern: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Per-cell current at per-cell voltages v: broadcastable to the grid,
-        or the grid's shape plus a trailing axis with one column per solve."""
-        p = np.where(pattern == LRS, self._on, self._off)
-        if np.ndim(v) == p.ndim + 1:
-            p = p[..., None]
+    def currents(self, params: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Per-cell current at per-cell voltages v, given ``active_params``: v
+        broadcastable to the grid, or the grid's shape plus a trailing axis
+        with one column per solve."""
+        p = params[..., None] if np.ndim(v) == params.ndim + 1 else params
         return v / p if self.is_linear else p * np.sinh(self.base.a * v)
 
-    def conductances(self, pattern: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Per-cell differential conductance at per-cell voltages v."""
+    def conductances(self, params: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Per-cell differential conductance at per-cell voltages v, given
+        ``active_params``."""
         if self.is_linear:
-            r = np.where(pattern == LRS, self._on, self._off)
-            return np.broadcast_to(1.0 / r, np.broadcast(v, r).shape).copy()
-        k = np.where(pattern == LRS, self._on, self._off)
-        return k * self.base.a * np.cosh(self.base.a * v)
+            return np.broadcast_to(1.0 / params, np.broadcast(v, params).shape).copy()
+        return params * self.base.a * np.cosh(self.base.a * v)
 
 
 def ideal_state_currents(base: DeviceParams, v: float) -> tuple[float, float]:

@@ -85,7 +85,7 @@ def _branch_imbalance(net: Network, v: np.ndarray, extended: bool = False) -> np
         out[a] += i
         out[b] -= i
     dv = (v[net.dev_a] - v[net.dev_b]).reshape(net.spec.rows, net.spec.cols)
-    i_dev = net.cells.currents(net.pattern, dv).ravel()
+    i_dev = net.cells.currents(net.active_params, dv).ravel()
     for k in range(net.dev_a.size):
         out[net.dev_a[k]] += i_dev[k]
         out[net.dev_b[k]] -= i_dev[k]
@@ -112,7 +112,7 @@ def _refine_dense(net: Network, v: np.ndarray, u: np.ndarray, Auu: np.ndarray) -
 def _finish(net: Network, v: np.ndarray, residual: float, iterations: int) -> Solution:
     wire_i = net.wire_g * (v[net.wire_a] - v[net.wire_b])
     dv = (v[net.dev_a] - v[net.dev_b]).reshape(net.spec.rows, net.spec.cols)
-    dev_i = net.cells.currents(net.pattern, dv).ravel()
+    dev_i = net.cells.currents(net.active_params, dv).ravel()
     return Solution(v, wire_i, dev_i, float(residual), iterations)
 
 
@@ -154,7 +154,7 @@ def dense_reference_solve(net: Network) -> Solution:
                 res = float(np.abs(_branch_imbalance(net, v, extended=True)[u]).max())
             return _finish(net, v, res, iterations)
         dv = (v[net.dev_a] - v[net.dev_b]).reshape(net.spec.rows, net.spec.cols)
-        g_dev = net.cells.conductances(net.pattern, dv).ravel()
+        g_dev = net.cells.conductances(net.active_params, dv).ravel()
         J = _dense_admittance(net, g_dev)
         Juu = J[np.ix_(u, u)]
         delta = np.linalg.solve(Juu, -f_u)

@@ -403,10 +403,10 @@ class ConventionalSession:
         self.system.factor(cells.active_conductances(self.pattern))
         # Unknown-vector positions of each wordline's driven end and each
         # bitline's sense end; -1 marks the ground.
-        unknown = self.system.unknown
-        self._p = np.searchsorted(unknown, self.net.wl_nodes[:, 0])
-        self._q = np.searchsorted(unknown, self.net.bl_nodes[spec.rows - 1, :])
-        self._q[-1] = -1
+        pos = np.full(self.net.n_nodes, -1)
+        pos[self.system.unknown] = np.arange(self.system.unknown.size)
+        self._p = pos[self.net.wl_nodes[:, 0]]
+        self._q = pos[self.net.bl_nodes[spec.rows - 1, :]]
 
     def currents(self, cells_ij) -> np.ndarray:
         """Sensed current for each (i, j) target: one solved column per

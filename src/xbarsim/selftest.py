@@ -42,7 +42,7 @@ def sneak_path_elimination() -> tuple[bool, str]:
         cells = CellGrid.sample(32, 32, base, VariationSpec(0.10, trial))
         i = int(rng.integers(32))
         res = read_row(spec, cells, pattern, i)
-        want = cells.currents(pattern, spec.v_dd - spec.v_b)[i]
+        want = cells.currents(cells.active_params(pattern), spec.v_dd - spec.v_b)[i]
         worst = max(worst, float(np.abs(res.sensed - want).max()))
     return worst < 1e-12, f"max |column - isolated device| = {worst:.2e} A over 100 patterns"
 
@@ -148,16 +148,16 @@ def physics_invariants() -> tuple[bool, str]:
     for base in (_LIN, _NON):
         cells = CellGrid.sample(2, 3, base, VariationSpec(0.10, 3))
         for bit in (1, 0):
-            pattern = np.full(cells.shape, bit)
+            params = cells.active_params(np.full(cells.shape, bit))
             for v in np.linspace(-1.5, 1.5, 101):
-                i = cells.currents(pattern, v)
-                if (np.abs(i + cells.currents(pattern, -v)) > 1e-15 * np.abs(i) + 1e-300).any():
+                i = cells.currents(params, v)
+                if (np.abs(i + cells.currents(params, -v)) > 1e-15 * np.abs(i) + 1e-300).any():
                     problems.append("odd symmetry violated")
                     break
             h = 1e-7
             for v in (0.0, 0.4, 1.1):
-                fd = (cells.currents(pattern, v + h) - cells.currents(pattern, v - h)) / (2 * h)
-                g = cells.conductances(pattern, v)
+                fd = (cells.currents(params, v + h) - cells.currents(params, v - h)) / (2 * h)
+                g = cells.conductances(params, v)
                 if (np.abs(fd - g) > 1e-6 * g).any():
                     problems.append("derivative consistency violated")
     if problems:

@@ -15,6 +15,7 @@ imbalance is the net current leaving it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,6 +46,7 @@ KCL_TOL = 1e-12  # max node-current imbalance of every solve, amperes
 MAX_NEWTON_ITERS = 50
 _MAX_HALVINGS = 20
 _REFINE_STEPS = 8
+_DISSECTION_LEAF = 64  # nodes per block that nested dissection leaves whole
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,7 @@ def branch_currents_at(net: Network, dv: np.ndarray) -> np.ndarray:
     nw = net.wire_a.size
     g = net.wire_g if dv.ndim == 1 else net.wire_g[:, None]
     d = dv[nw:]
-    i_dev = net.cells.currents(net.pattern, d.reshape(net.cells.shape + d.shape[1:]))
+    i_dev = net.cells.currents(net.active_params, d.reshape(net.cells.shape + d.shape[1:]))
     return np.concatenate([g * dv[:nw], i_dev.reshape(d.shape)])
 
 
@@ -134,25 +136,70 @@ def _initial_voltages(net: Network) -> np.ndarray:
     return v
 
 
+@lru_cache(maxsize=8)
+def _dissection_order(rows: int, cols: int) -> np.ndarray:
+    """Rail nodes of a wired ``rows`` x ``cols`` array in geometric nested
+    dissection order (A. George, SIAM J. Numer. Anal. 10(2), 1973): split the
+    cell rectangle across its longer side, both halves first and the
+    separator after them.  Bitline segments alone join cell rows and
+    wordline segments alone join columns, so a row split separates on the
+    middle row's bitline nodes and a column split on the middle column's
+    wordline nodes.  Dropping fixed nodes leaves every separator valid."""
+    nodes = np.arange(2 * rows * cols).reshape(2, rows, cols)  # wordline, bitline rails
+    taken = np.zeros(nodes.size, dtype=bool)
+
+    def take(block):
+        block = block[~taken[block]]
+        taken[block] = True
+        return block
+
+    def visit(r0, r1, c0, c1):
+        h, w = r1 - r0, c1 - c0
+        if 2 * h * w <= _DISSECTION_LEAF:
+            return [take(nodes[:, r0:r1, c0:c1].ravel())]
+        if h >= w:
+            m = r0 + h // 2
+            sep = take(nodes[1, m, c0:c1])
+            return visit(r0, m, c0, c1) + visit(m, r1, c0, c1) + [sep]
+        m = c0 + w // 2
+        sep = take(nodes[0, r0:r1, m])
+        return visit(r0, r1, c0, m) + visit(r0, r1, m, c1) + [sep]
+
+    order = np.concatenate(visit(0, rows, 0, cols))
+    order.setflags(write=False)  # shared by every network of this shape
+    return order
+
+
 class ReducedSystem:
     """The nodal system of one network, reduced to its unknown nodes.
 
     Owns the fixed/unknown partition, the LU factor of the unknown block
-    and the one refinement rule that finishes every solve.  Voltages are full node vectors, or matrices with one column per
-    solve: fixed entries are read, unknown entries are solved for.
+    and the one refinement rule that finishes every solve.  Voltages are
+    full node vectors, or matrices with one column per solve: fixed entries
+    are read, unknown entries are solved for.
+
+    ``unknown`` lists the unknown nodes in factor order: nested dissection
+    of the cell grid, or node order when each line is one node
+    (``r_wire = 0``).  The block is symmetric positive definite (a grounded
+    Laplacian, or a sinh Jacobian with positive differential conductances),
+    so it is factored in that order in symmetric mode with no pivoting.
     """
 
     def __init__(self, net: Network):
         check_grounded(net)
         self.net = net
-        self.unknown = np.flatnonzero(~net.fixed_mask)
+        order = (_dissection_order(net.spec.rows, net.spec.cols) if net.spec.r_wire > 0
+                 else np.arange(net.n_nodes))  # terminal nodes, not dissected, are fixed
+        self.unknown = order[~net.fixed_mask[order]]
         self.lu = None
 
     def factor(self, device_g: np.ndarray) -> None:
         """Factorize the unknown block of the admittance at these device conductances."""
         u = self.unknown
         if u.size:
-            self.lu = spla.splu(assemble_admittance(self.net, device_g)[u][:, u].tocsc())
+            A = assemble_admittance(self.net, device_g)[u][:, u].tocsc()
+            self.lu = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                                options=dict(SymmetricMode=True))
 
     def imbalance(self, V: np.ndarray) -> np.ndarray:
         """Net current leaving each unknown node."""
@@ -228,7 +275,7 @@ def solve_nonlinear(net: Network) -> Solution:
     for iterations in range(1, MAX_NEWTON_ITERS + 1):
         if (np.abs(f_u).max() if f_u.size else 0.0) <= KCL_TOL:
             break
-        system.factor(net.cells.conductances(net.pattern, _device_dv(net, v)).ravel())
+        system.factor(net.cells.conductances(net.active_params, _device_dv(net, v)).ravel())
         delta = system.lu.solve(-f_u)
         norm0 = np.linalg.norm(f_u)
         alpha = 1.0
@@ -299,7 +346,7 @@ def dump_system(net: Network, path_prefix: str, sol: Solution | None = None) -> 
     from scipy.io import mmwrite
 
     v = sol.node_voltages if sol is not None else _initial_voltages(net)
-    g_dev = net.cells.conductances(net.pattern, _device_dv(net, v)).ravel()
+    g_dev = net.cells.conductances(net.active_params, _device_dv(net, v)).ravel()
     paths = [f"{path_prefix}.admittance.mtx", f"{path_prefix}.nodes.txt"]
     mmwrite(paths[0], assemble_admittance(net, g_dev))
     with open(paths[1], "w") as f:

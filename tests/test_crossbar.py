@@ -219,7 +219,7 @@ class TestIdealRailLimit:
         net = build_network(spec, pattern, cells, bias)
         got = bitline_currents(net, solve(net))
         dv = wl_v[:, None] - bl_v[None, :]
-        want = cells.currents(pattern, dv).sum(axis=0)
+        want = cells.currents(cells.active_params(pattern), dv).sum(axis=0)
         assert np.abs(got - want).max() < 1e-15
 
 

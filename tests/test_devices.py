@@ -28,9 +28,9 @@ def device(base, bit, var=NOVAR, i=0, j=0):
     """Current and conductance laws of cell (i, j) of a sampled grid, in
     the given state, as functions of its voltage."""
     grid = CellGrid.sample(i + 1, j + 1, base, var)
-    pattern = np.full(grid.shape, bit)
-    return (lambda v: float(grid.currents(pattern, v)[i, j]),
-            lambda v: float(grid.conductances(pattern, v)[i, j]))
+    params = grid.active_params(np.full(grid.shape, bit))
+    return (lambda v: float(grid.currents(params, v)[i, j]),
+            lambda v: float(grid.conductances(params, v)[i, j]))
 
 
 class TestDeviceCurrent:
@@ -113,8 +113,8 @@ class TestStateOrdering:
         k = np.arange(64)
         for base in (LinearDeviceParams(), NonlinearDeviceParams()):
             grid = CellGrid.sample(64, 191, base, var)
-            g_on = grid.conductances(np.full(grid.shape, LRS), 0.5)[k, 3 * k + 1]
-            g_off = grid.conductances(np.full(grid.shape, HRS), 0.5)[k, 3 * k + 1]
+            g_on = grid.conductances(grid.active_params(np.full(grid.shape, LRS)), 0.5)[k, 3 * k + 1]
+            g_off = grid.conductances(grid.active_params(np.full(grid.shape, HRS)), 0.5)[k, 3 * k + 1]
             assert (g_on > g_off).all()
 
 

@@ -87,7 +87,7 @@ class TestRowReadIdealLimit:
         pattern = random_pattern(6, 5, np.random.default_rng(2))
         cells = CellGrid.sample(6, 5, base, VariationSpec(0.1, 2))
         res = read_row(spec, cells, pattern, 3)
-        want = cells.currents(pattern, spec.v_dd - spec.v_b)[3]
+        want = cells.currents(cells.active_params(pattern), spec.v_dd - spec.v_b)[3]
         assert np.abs(res.sensed - want).max() < 1e-12
         assert res.n_errors == 0
 

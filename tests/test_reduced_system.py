@@ -14,12 +14,14 @@ from xbarsim.crossbar import (
     BiasMismatch,
     CrossbarSpec,
     build_network,
+    conventional_cell_bias,
     random_pattern,
     row_read_bias,
 )
 from xbarsim.devices import CellGrid, LinearDeviceParams, NonlinearDeviceParams, VariationSpec
 from xbarsim.readout import ConventionalSession, RowReadSession
 from xbarsim.solver import (
+    ReducedSystem,
     SolverConvergenceError,
     assemble_admittance,
     bitline_currents,
@@ -134,3 +136,102 @@ def test_session_currents_near_long_double_reference():
         net = build_network(spec, pattern, cells, row_read_bias(spec, i))
         want = _reference_sensed(net)
         assert np.abs(got[i] - want.astype(float)).max() <= 5e-17
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.integers(1, 40),
+    cols=st.integers(1, 40),
+    r_wire=st.sampled_from([0.0, 10.0]),
+    r_driver=st.sampled_from([0.0, 25.0]),
+    double_sided=st.booleans(),
+    row_read=st.booleans(),
+    data=st.data(),
+)
+def test_unknown_order_is_a_permutation_of_the_free_nodes(
+    rows, cols, r_wire, r_driver, double_sided, row_read, data
+):
+    spec = CrossbarSpec(rows=rows, cols=cols, r_wire=r_wire, r_driver=r_driver,
+                        double_sided_clamps=double_sided)
+    i = data.draw(st.integers(0, rows - 1))
+    j = data.draw(st.integers(0, cols - 1))
+    bias = row_read_bias(spec, i) if row_read else conventional_cell_bias(spec, i, j)
+    pattern = np.ones((rows, cols), dtype=np.int8)
+    cells = CellGrid.sample(rows, cols, LinearDeviceParams(), VariationSpec(0.10, 1))
+    net = build_network(spec, pattern, cells, bias)
+    unknown = ReducedSystem(net).unknown
+    assert np.array_equal(np.sort(unknown), np.flatnonzero(~net.fixed_mask))
+
+
+def _dissection_splits(rows, cols):
+    """Every split of the nested dissection of a rows x cols cell grid, as
+    (first half, second half, separator) rail-node sets: the rectangle is cut
+    across its longer side at its middle, a row cut separating on that row's
+    bitline nodes and a column cut on that column's wordline nodes, down to
+    blocks of at most ``solver._DISSECTION_LEAF`` nodes.  A block owns the
+    nodes of its rectangle that no enclosing separator took."""
+    wl = np.arange(rows * cols).reshape(rows, cols)
+    bl = wl + rows * cols
+    owner = np.zeros(2 * rows * cols, dtype=bool)  # taken by a separator
+
+    def block(r0, r1, c0, c1):
+        nodes = np.concatenate([wl[r0:r1, c0:c1].ravel(), bl[r0:r1, c0:c1].ravel()])
+        return nodes[~owner[nodes]]
+
+    stack = [(0, rows, 0, cols)]
+    while stack:
+        r0, r1, c0, c1 = stack.pop()
+        h, w = r1 - r0, c1 - c0
+        if 2 * h * w <= solver._DISSECTION_LEAF:
+            continue
+        if h >= w:
+            r = r0 + h // 2
+            sep, halves = bl[r, c0:c1], [(r0, r, c0, c1), (r, r1, c0, c1)]
+        else:
+            c = c0 + w // 2
+            sep, halves = wl[r0:r1, c], [(r0, r1, c0, c), (r0, r1, c, c1)]
+        sep = sep[~owner[sep]]
+        owner[sep] = True
+        yield block(*halves[0]), block(*halves[1]), sep
+        stack.extend(halves)
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 7), (7, 1), (2, 2), (5, 9), (16, 16), (33, 17),
+                                        (1, 40), (40, 1), (40, 40), (64, 3)])
+def test_dissection_separates_the_halves_of_every_split(rows, cols):
+    spec = CrossbarSpec(rows=rows, cols=cols, r_wire=10.0)
+    pattern = np.ones((rows, cols), dtype=np.int8)
+    cells = CellGrid.sample(rows, cols, LinearDeviceParams(), VariationSpec(0.10, 1))
+    net = build_network(spec, pattern, cells, row_read_bias(spec, 0))
+    n_rail = 2 * rows * cols
+    a = np.concatenate([net.wire_a, net.dev_a])
+    b = np.concatenate([net.wire_b, net.dev_b])
+    rail = (a < n_rail) & (b < n_rail)
+    a, b = a[rail], b[rail]
+
+    order = solver._dissection_order(rows, cols)
+    assert np.array_equal(np.sort(order), np.arange(n_rail))
+    position = np.empty(n_rail, dtype=np.int64)
+    position[order] = np.arange(n_rail)
+    for first, second, sep in _dissection_splits(rows, cols):
+        side = np.zeros(n_rail, dtype=np.int8)
+        side[first], side[second] = 1, 2
+        assert not (side[a] * side[b] == 2).any(), "a branch joins the two halves"
+        # the order holds each half as one run, then the separator
+        runs = [np.sort(position[x]) for x in (first, second, sep)]
+        flat = np.concatenate(runs)
+        assert np.array_equal(flat, np.arange(flat[0], flat[0] + flat.size))
+
+
+def test_dissection_order_keeps_fill_below_colamd():
+    n = 64
+    spec = CrossbarSpec(rows=n, cols=n, r_wire=10.0)
+    pattern = random_pattern(n, n, np.random.default_rng(1))
+    cells = CellGrid.sample(n, n, LinearDeviceParams(), VariationSpec(0.10, 1))
+    net = build_network(spec, pattern, cells, row_read_bias(spec, 0))
+    g = cells.active_conductances(pattern)
+    system = ReducedSystem(net)
+    system.factor(g)
+    u = np.flatnonzero(~net.fixed_mask)
+    default = spla.splu(assemble_admittance(net, g)[u][:, u].tocsc())
+    assert system.lu.nnz <= 0.6 * default.nnz
