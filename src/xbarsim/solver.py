@@ -48,7 +48,14 @@ MAX_NEWTON_ITERS = 50
 _MAX_HALVINGS = 20
 _REFINE_STEPS = 8
 _DISSECTION_LEAF = 64  # nodes per block that nested dissection leaves whole
-_TRIM_MIN_UNKNOWNS = 1 << 14  # blocks whose factors trim the heap around them
+# SuperLU sizes its work arrays from nnz(A), several times the fill it writes.
+# Under heap retention (``experiments._retain_freed_heap``) a large factor
+# placed on freed heap pages that are still resident holds all of them, and one
+# placed on fresh pages only those it writes; the heap layout left by earlier
+# work decides which, and peak memory moved by 20 MB from one process to the
+# next.  Factors of this many unknowns or more trim the heap before and after;
+# smaller ones would only fault their retained heap back in.
+_TRIM_MIN_UNKNOWNS = 1 << 14
 
 try:  # glibc's; a C library without it keeps its own policy
     _malloc_trim = ctypes.CDLL(None).malloc_trim
@@ -143,24 +150,6 @@ def _initial_voltages(net: Network) -> np.ndarray:
     return v
 
 
-def _trim_heap() -> None:
-    """Hand the heap's free pages back to the kernel.
-
-    SuperLU sizes its work arrays from nnz(A), several times the fill it
-    writes, and frees its scratch when the factor ends.  Blocks below 32 MB
-    come from the heap (``experiments._retain_freed_heap``), so a large
-    factor placed on freed, still resident heap pages holds all of them,
-    and one placed on fresh pages only those it writes.  Which happens
-    depends on the layout earlier work left, so a campaign's peak memory
-    moved by 20 MB from one process to the next.  Trimming before and after
-    each large factorization keeps it to the pages the factor writes.
-    Small factors skip it: their placement moves a few megabytes at most,
-    and trimming would fault their retained heap back in page by page.
-    """
-    if _malloc_trim is not None:
-        _malloc_trim(0)
-
-
 @lru_cache(maxsize=8)
 def _dissection_order(rows: int, cols: int) -> np.ndarray:
     """Rail nodes of a wired ``rows`` x ``cols`` array in geometric nested
@@ -223,13 +212,13 @@ class ReducedSystem:
         u = self.unknown
         if u.size:
             A = assemble_admittance(self.net, device_g)[u][:, u].tocsc()
-            trim = u.size >= _TRIM_MIN_UNKNOWNS
-            if trim:
-                _trim_heap()
+            trim = _malloc_trim if u.size >= _TRIM_MIN_UNKNOWNS else None
+            if trim is not None:
+                trim(0)
             self.lu = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                                 options=dict(SymmetricMode=True))
-            if trim:
-                _trim_heap()
+            if trim is not None:
+                trim(0)
 
     def imbalance(self, V: np.ndarray) -> np.ndarray:
         """Net current leaving each unknown node."""
