@@ -341,6 +341,7 @@ class Network:
     spec: CrossbarSpec
     pattern: np.ndarray
     cells: CellGrid
+    bias: BiasConfig  # the per-line boundary conditions it was built from
     active_params: np.ndarray  # (M, N) device parameter of each stored state
     n_nodes: int
     fixed_mask: np.ndarray
@@ -476,6 +477,7 @@ def build_network(
         spec=spec,
         pattern=pattern,
         cells=cells,
+        bias=bias,
         active_params=cells.active_params(pattern),
         n_nodes=n_nodes,
         fixed_mask=fixed_mask,

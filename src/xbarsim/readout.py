@@ -6,9 +6,10 @@ threshold classification and error statistics.
 Besides the one-shot operations, two session classes reuse a single sparse
 factorization across many reads of the same sampled array: row reads share
 one matrix for every selected row (only the right-hand side changes; sinh
-devices iterate on a frozen flat-start Jacobian with true-residual
-verification), and single-cell sweeps take one solve per distinct terminal
-line, from which every cell's two-terminal effective resistance follows.
+devices iterate from the ideal-rail voltages on a frozen zero-bias Jacobian
+with true-residual verification), and single-cell sweeps take one solve per
+distinct terminal line, from which every cell's two-terminal effective
+resistance follows.
 Both factor through ``solver.ReducedSystem``.
 """
 
@@ -265,11 +266,12 @@ class RowReadSession:
     """Row readout of one sampled array with a single factorization.
 
     The fixed-node set of the row-read bias does not depend on the selected
-    row, so one ``ReducedSystem`` factorized at the flat start (all lines at
-    the hold voltage) serves every row.  Ohmic rows are solved and refined
-    by it directly, many rows per batch.  Sinh rows iterate on that frozen
-    Jacobian against the true KCL residual until ``solver.KCL_TOL``, with a
-    per-row exact Newton fallback if the iteration stalls.
+    row, so one ``ReducedSystem`` factorized at zero device bias serves
+    every row.  Ohmic rows are solved and refined by it directly, many rows
+    per batch.  Sinh rows start with every rail node at its line's voltage
+    (the ideal-rail solution) and iterate on that frozen Jacobian against
+    the true KCL residual until ``solver.KCL_TOL``, with a per-row exact
+    Newton fallback, at the same hold voltage, if the iteration stalls.
     """
 
     def __init__(
@@ -306,8 +308,14 @@ class RowReadSession:
         return self._solve_rows_chord(rows, V, v_b)
 
     def _solve_rows_chord(self, rows, V: np.ndarray, v_b: float) -> np.ndarray:
-        system = self.system
-        V[system.unknown] = v_b
+        system, net = self.system, self.net
+        # Every rail node starts at its line's control-node voltage, filled
+        # in place: an n_nodes x len(rows) temporary would set peak memory.
+        wl_v, bl_v = V[net.wl_attach.control_node], V[net.bl_attach.control_node]
+        for j in range(self.spec.cols):
+            V[net.wl_nodes[:, j]] = wl_v
+        for i in range(self.spec.rows):
+            V[net.bl_nodes[i]] = bl_v
         F = system.imbalance(V)
         active = np.arange(V.shape[1])
         last = np.inf
@@ -324,11 +332,11 @@ class RowReadSession:
             last = worst
             V[np.ix_(system.unknown, active)] -= system.lu.solve(F)
             F = system.imbalance(V[:, active])
+        spec = dataclasses.replace(self.spec, v_b=v_b)
         for c in active:
-            net = build_network(
-                self.spec, self.pattern, self.cells, row_read_bias(self.spec, rows[c], self.mismatch)
-            )
-            V[:, c] = solve_nonlinear(net).node_voltages
+            row_net = build_network(spec, self.pattern, self.cells,
+                                    row_read_bias(spec, rows[c], self.mismatch))
+            V[:, c] = solve_nonlinear(row_net).node_voltages
         return V
 
     def bitline_currents_from(self, V: np.ndarray) -> np.ndarray:

@@ -7,15 +7,16 @@ refinement rule every solve path ends with.  Residuals are evaluated in
 float64 branch form (``node_imbalance``), which is accurate enough that no
 extended precision is needed.  Linear arrays use one factorization;
 sinh-device arrays use damped Newton iteration with the
-differential-conductance Jacobian.  Sign convention: device current is
-positive from the wordline node to the bitline node; a node's KCL
-imbalance is the net current leaving it.
+differential-conductance Jacobian, started on wired arrays from the
+ideal-rail solution (each line one node).  Sign convention: device
+current is positive from the wordline node to the bitline node; a node's
+KCL imbalance is the net current leaving it.
 """
 
 from __future__ import annotations
 
 import ctypes
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -23,7 +24,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from .crossbar import TERM_FLOATING, Network
+from .crossbar import TERM_FLOATING, Network, build_network
 
 
 class SingularNetworkError(ValueError):
@@ -148,6 +149,21 @@ def _initial_voltages(net: Network) -> np.ndarray:
     fixed_vals = net.fixed_voltage[net.fixed_mask]
     v[~net.fixed_mask] = float(np.median(fixed_vals))
     return v
+
+
+def _ideal_rail_start(net: Network) -> np.ndarray:
+    """Newton start of a wired sinh network: the same bias on the same cells
+    with each line collapsed to one node (the ``r_wire = 0`` network),
+    solved, and each line's voltage spread over its rail nodes.  Against
+    devices of a megaohm or more, ohm-scale wires only perturb that
+    ideal-rail solution (A. Chen, IEEE TED 60(4), 2013), so Newton is left
+    with the wire drops alone."""
+    lines = build_network(replace(net.spec, r_wire=0.0), net.pattern, net.cells, net.bias)
+    v_line = solve_nonlinear(lines).node_voltages
+    # Both networks list the terminal nodes alike, after their rail nodes.
+    n_lines = net.spec.rows + net.spec.cols
+    return v_line[np.concatenate([lines.wl_nodes.ravel(), lines.bl_nodes.ravel(),
+                                  np.arange(n_lines, lines.n_nodes)])]
 
 
 @lru_cache(maxsize=8)
@@ -280,16 +296,19 @@ def solve_linear(net: Network) -> Solution:
 def solve_nonlinear(net: Network) -> Solution:
     """Damped Newton solve of a sinh-device network.
 
-    Unknowns start at the median fixed bias (the hold voltage for read
-    configurations); each full Newton step is halved until the residual
-    falls, so large initial sinh arguments cannot run away.  The converged
-    iterate is finished by the shared refinement with the last Jacobian
-    factor.
+    A wired network starts from its ideal-rail solution
+    (``_ideal_rail_start``), whose errors propagate unchanged; a network of
+    one node per line starts with its unknowns at the median fixed bias
+    (the hold voltage for read configurations).  Each full Newton step is
+    halved until the residual falls, so large initial sinh arguments cannot
+    run away.  The converged iterate is finished by the shared refinement
+    with the last Jacobian factor.
     """
     if net.cells.is_linear:
         raise TypeError("solve_nonlinear requires nonlinear device parameters")
     system = ReducedSystem(net)
-    v = _initial_voltages(net)
+    v = (_ideal_rail_start(net) if net.spec.r_wire > 0 and system.unknown.size
+         else _initial_voltages(net))
     f_u = system.imbalance(v)
     for iterations in range(1, MAX_NEWTON_ITERS + 1):
         if (np.abs(f_u).max() if f_u.size else 0.0) <= KCL_TOL:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xbarsim import readout
+from xbarsim import readout, solver
 from xbarsim.crossbar import (
     BiasConfig,
     BiasMismatch,
@@ -36,14 +36,14 @@ from xbarsim.readout import (
     read_row_resistive,
     split_by_state,
 )
-from xbarsim.solver import bitline_currents, solve
+from xbarsim.solver import bitline_currents, node_imbalance, solve
 
 NOVAR = VariationSpec(0.0, 0)
 LIN = LinearDeviceParams()
 NON = NonlinearDeviceParams()
 
 
-def _count_solved_columns(session: ConventionalSession) -> list[int]:
+def _count_solved_columns(session: ConventionalSession | RowReadSession) -> list[int]:
     """Wrap a session's factor; the returned list collects the number of
     columns of every solve."""
     solved = []
@@ -241,6 +241,25 @@ class TestConventionalRead:
         want = np.array([read_cell_conventional(spec, cells, pattern, i, j) for i, j in targets])
         assert np.abs(sliced / want - 1).max() < 1e-9
 
+    def test_sinh_read_factors_its_full_block_once(self, monkeypatch):
+        # Newton starts from the ideal-rail solution, so the wired block is
+        # factored once; the one-node-per-line network takes the rest.
+        spec = CrossbarSpec(rows=32, cols=32, r_wire=10.0)
+        pattern = random_pattern(32, 32, np.random.default_rng(1))
+        cells = CellGrid.sample(32, 32, NON, VariationSpec(0.1, 1))
+        factored = []
+        real = solver.ReducedSystem.factor
+
+        def factor(system, device_g):
+            factored.append(system.net.spec.r_wire)
+            return real(system, device_g)
+
+        monkeypatch.setattr(solver.ReducedSystem, "factor", factor)
+        got = read_cell_conventional(spec, cells, pattern, 5, 7)
+        assert factored.count(10.0) == 1
+        assert 0 < factored.count(0.0) <= 4
+        assert got > 0
+
     def test_session_rejects_nonlinear(self):
         pattern = random_pattern(3, 3, np.random.default_rng(1))
         cells = CellGrid.sample(3, 3, NON, NOVAR)
@@ -371,3 +390,30 @@ class TestRowReadSession:
         i2 = session.bitline_currents_from(v2)[0]
         assert np.abs(i2 - want).max() < 1e-12
         assert np.all(i2 < i1)
+
+    def test_sinh_session_takes_two_chord_passes(self):
+        # Rail nodes start at their line's voltage, so a 32x32 row map
+        # reaches the KCL bound in two frozen-Jacobian passes, not three.
+        spec = CrossbarSpec(rows=32, cols=32, r_wire=10.0)
+        pattern = random_pattern(32, 32, np.random.default_rng(9))
+        cells = CellGrid.sample(32, 32, NON, VariationSpec(0.1, 9))
+        session = RowReadSession(spec, cells, pattern)
+        passes = _count_solved_columns(session)
+        V = session.solve_rows(range(32))
+        assert len(passes) == 2 and passes[0] == 32
+        leaving = node_imbalance(session.net, V)[~session.net.fixed_mask]
+        assert np.abs(leaving).max() <= solver.KCL_TOL
+
+    def test_chord_fallback_keeps_the_bias_override(self, monkeypatch):
+        # With no chord pass allowed every row falls back to an exact
+        # Newton solve, which must use the overriding hold voltage.
+        spec = CrossbarSpec(rows=8, cols=8, r_wire=10.0)
+        pattern = random_pattern(8, 8, np.random.default_rng(31))
+        cells = CellGrid.sample(8, 8, NON, VariationSpec(0.1, 31))
+        session = RowReadSession(spec, cells, pattern)
+        monkeypatch.setattr(readout, "_CHORD_MAX_ITERS", 0)
+        got = session.bitline_currents_from(session.solve_rows([0, 5], v_b=0.5))
+        spec_b = dataclasses.replace(spec, v_b=0.5)
+        for k, i in enumerate((0, 5)):
+            want = read_row(spec_b, cells, pattern, i).sensed
+            assert np.abs(got[k] - want).max() <= 1e-12 * np.abs(want).max()

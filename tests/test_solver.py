@@ -1,16 +1,21 @@
 import dataclasses
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.io import mmread
 
 from xbarsim.crossbar import (
+    FLOATING,
     BiasConfig,
     Clamp,
     CrossbarSpec,
     Drive,
+    ResistiveLoad,
     build_network,
     conventional_cell_bias,
     random_pattern,
@@ -165,6 +170,58 @@ class TestNonlinearSolve:
         net = build(spec, LIN, row_read_bias(spec, 0))
         with pytest.raises(TypeError):
             solve_nonlinear(net)
+
+
+def _edge_bias(spec, scheme, i, j, r_s):
+    """Row read, single-cell conventional read, or row drive with floating
+    or resistively loaded bitlines."""
+    if scheme == "row":
+        return row_read_bias(spec, i)
+    if scheme == "conventional":
+        return conventional_cell_bias(spec, i, j)
+    wordlines = tuple(Drive(spec.v_dd) if k == i else Clamp(spec.v_b) for k in range(spec.rows))
+    term = FLOATING if scheme == "floating" else ResistiveLoad(r_s)
+    return BiasConfig.from_terms(wordlines, (term,) * spec.cols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.integers(1, 6),
+    cols=st.integers(1, 6),
+    r_wire=st.sampled_from([0.0, 10.0]),
+    r_driver=st.sampled_from([0.0, 25.0]),
+    double_sided=st.booleans(),
+    scheme=st.sampled_from(["row", "conventional", "floating", "resistive"]),
+    r_s=st.sampled_from([1e4, 1e6]),
+    fill=st.sampled_from(["lrs", "hrs", "random"]),
+    with_mismatch=st.booleans(),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_ideal_rail_start_matches_dense_oracle(
+    rows, cols, r_wire, r_driver, double_sided, scheme, r_s, fill, with_mismatch, seed, data
+):
+    i, j = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))
+    rng = np.random.default_rng(seed)
+    spec = CrossbarSpec(rows=rows, cols=cols, r_wire=r_wire, r_driver=r_driver,
+                        double_sided_clamps=double_sided)
+    bias = _edge_bias(spec, scheme, i, j, r_s)
+    if with_mismatch:  # offsets leave floating lines at NaN
+        bias = dataclasses.replace(bias, wl_v=bias.wl_v + rng.uniform(-2e-3, 2e-3, rows),
+                                   bl_v=bias.bl_v + rng.uniform(-2e-3, 2e-3, cols))
+    pattern = (random_pattern(rows, cols, rng) if fill == "random"
+               else np.full((rows, cols), 1 if fill == "lrs" else 0, dtype=np.int8))
+    net = build(spec, NON, bias, seed=seed, sigma=0.1, pattern=pattern)
+
+    with mock.patch.object(solver, "build_network", wraps=solver.build_network) as collapsed:
+        sol = solve_nonlinear(net)
+    # only a wired network with unknowns starts from its collapsed network
+    assert collapsed.call_count == int(r_wire > 0 and not net.fixed_mask.all())
+    assert sol.kcl_residual <= solver.KCL_TOL
+    fixed = net.fixed_mask
+    assert np.array_equal(sol.node_voltages[fixed], net.fixed_voltage[fixed])
+    ref = dense_reference_solve(net).node_voltages
+    assert np.abs(sol.node_voltages - ref).max() <= 1e-10
 
 
 class TestPhysicsInvariants:
