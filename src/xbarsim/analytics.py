@@ -37,9 +37,12 @@ def approx_read_power(delta_v: float, on_off_values: np.ndarray, a: float | None
     vals = np.asarray(on_off_values, dtype=float)
     if vals.size == 0:
         return 0.0
-    if a is None:
-        return float(np.sum(delta_v**2 / vals))
-    return float(np.sum(vals * delta_v * np.sinh(a * delta_v)))
+    return float(np.sum(_cell_read_power(delta_v, vals, a)))
+
+
+def _cell_read_power(delta_v: float, vals: np.ndarray, a: float | None) -> np.ndarray:
+    """Per-cell wire-free read power: ohmic resistances (``a`` None) or sinh k."""
+    return delta_v**2 / vals if a is None else vals * delta_v * np.sinh(a * delta_v)
 
 
 def power_row_approx(spec: CrossbarSpec, pattern: np.ndarray, cells: CellGrid, i: int) -> float:
@@ -49,6 +52,13 @@ def power_row_approx(spec: CrossbarSpec, pattern: np.ndarray, cells: CellGrid, i
     delta = spec.v_dd - spec.v_b
     row_vals = np.where(pattern[i] == LRS, cells.on_values[i], cells.off_values[i])
     return approx_read_power(delta, row_vals, None if cells.is_linear else cells.base.a)
+
+
+def power_rows_approx(spec: CrossbarSpec, pattern: np.ndarray, cells: CellGrid) -> np.ndarray:
+    """``power_row_approx`` of every row at once, one entry per row."""
+    vals = cells.active_params(pattern)
+    a = None if cells.is_linear else cells.base.a
+    return np.sum(_cell_read_power(spec.v_dd - spec.v_b, vals, a), axis=1)
 
 
 def power_bounds(spec: CrossbarSpec, device: DeviceParams, per_cycle: bool = False) -> tuple[float, float]:

@@ -12,10 +12,8 @@ resistance) or through an explicit terminal node and series branch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .devices import CellGrid
 
@@ -333,9 +331,18 @@ class Network:
 
     Node order: wordline rail nodes, then bitline rail nodes, then the
     terminal nodes of resistive attachments (near wordline ends, far
-    wordline ends, then bitlines, each in line order).  Branches are wire
-    segments plus boundary resistors (``wire_*`` arrays, in the same order)
-    and one device per cell (``dev_*`` arrays, cell-major order).
+    wordline ends, then bitlines, each in line order).  With wires
+    (``r_wire > 0``) the rail nodes of each set are cell-major, so node
+    ``i * N + j`` is cell (i, j)'s wordline node and ``M * N + i * N + j``
+    its bitline node; with ideal wires node i is wordline i and ``M + j``
+    bitline j.  The ``wire_*`` arrays list the wordline segments
+    ``(i, j)-(i, j+1)`` cell-major, then the bitline segments
+    ``(i, j)-(i+1, j)`` cell-major, all of conductance ``1 / r_wire``
+    (none with ideal wires), then one boundary resistor per resistive
+    attachment, from its line end to its terminal node, in terminal-node
+    order.  The ``dev_*`` arrays hold one device per cell, cell-major, from
+    its wordline node to its bitline node.  ``solver.node_imbalance``
+    relies on this order.
     """
 
     spec: CrossbarSpec
@@ -358,18 +365,6 @@ class Network:
     # far (column N-1) end of each wordline: attached under double-sided
     # clamping of a driven or clamped line, TERM_FLOATING otherwise
     wl_attach_far: LineAttachments
-
-    @cached_property
-    def incidence(self) -> sp.csr_matrix:
-        """Signed node-by-branch incidence, wires first, then devices: +1 at
-        a branch's ``a`` node, -1 at its ``b`` node."""
-        a = np.concatenate([self.wire_a, self.dev_a])
-        b = np.concatenate([self.wire_b, self.dev_b])
-        k = np.arange(a.size)
-        vals = np.concatenate([np.ones(a.size), -np.ones(a.size)])
-        return sp.csr_matrix(
-            (vals, (np.concatenate([a, b]), np.concatenate([k, k]))), shape=(self.n_nodes, a.size)
-        )
 
     def node_name(self, idx: int) -> str:
         m, n = self.spec.rows, self.spec.cols

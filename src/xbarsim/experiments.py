@@ -286,9 +286,7 @@ def run_power_sweep(cfg: RunConfig, out_dir=None) -> dict:
                 exact = ((spec0.v_dd - v_b) / spec0.v_dd) ** 2 * power_0
             else:
                 exact = session.branch_power_from(session.solve_rows(sample_rows, v_b=v_b))
-            array_approx = sum(
-                analytics.power_row_approx(spec_vb, pattern, cells, i) for i in range(size)
-            )
+            array_approx = sum(analytics.power_rows_approx(spec_vb, pattern, cells).tolist())
             for k, i in enumerate(sample_rows):
                 out.append((model, size, trial, float(v_b), i,
                             float(approx[k]), float(exact[k]),

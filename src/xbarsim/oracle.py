@@ -95,9 +95,10 @@ def _branch_imbalance(net: Network, v: np.ndarray, extended: bool = False) -> np
 def _refine_dense(net: Network, v: np.ndarray, u: np.ndarray, Auu: np.ndarray) -> np.ndarray:
     """Extended-residual refinement judged by the solved correction size
     (see the sparse solver: a residual-max rule under-refines soft modes
-    behind high-resistance cells)."""
+    behind high-resistance cells).  On the last Newton Jacobian a soft mode
+    contracts by only 0.1-0.3 a step, hence the generous step cap."""
     prev = np.inf
-    for _ in range(8):
+    for _ in range(40):
         r = _branch_imbalance(net, v, extended=True)[u]
         delta = np.linalg.solve(Auu, r.astype(np.float64))
         step = np.abs(delta).max() if delta.size else 0.0

@@ -49,6 +49,7 @@ from .solver import (
     SolverConvergenceError,
     bitline_currents,
     branch_currents_at,
+    branch_voltages,
     node_imbalance,
     solve,
     solve_nonlinear,
@@ -316,22 +317,25 @@ class RowReadSession:
             V[net.wl_nodes[:, j]] = wl_v
         for i in range(self.spec.rows):
             V[net.bl_nodes[i]] = bl_v
-        F = system.imbalance(V)
-        active = np.arange(V.shape[1])
+        # W, at first V itself, is updated in place; a column leaves it, into V, once converged.
+        W, active = V, np.arange(V.shape[1])
+        F = system.imbalance(W)
         last = np.inf
         for it in range(_CHORD_MAX_ITERS):
             res_cols = np.abs(F).max(axis=0) if F.size else np.zeros(len(active))
             keep = res_cols > solver.KCL_TOL
-            if not keep.any():
-                return V
-            active = active[keep]
-            F = F[:, keep]
+            if not keep.all():
+                if W is not V:
+                    V[:, active[~keep]] = W[:, ~keep]
+                if not keep.any():
+                    return V
+                active, W, F = active[keep], W[:, keep], F[:, keep]
             worst = res_cols[keep].max()
             if it > 6 and worst > 0.5 * last:
                 break  # frozen-Jacobian iteration stalled; fall back per row
             last = worst
-            V[np.ix_(system.unknown, active)] -= system.lu.solve(F)
-            F = system.imbalance(V[:, active])
+            W[system.unknown] -= system.lu.solve(F)
+            F = system.imbalance(W)
         spec = dataclasses.replace(self.spec, v_b=v_b)
         for c in active:
             row_net = build_network(spec, self.pattern, self.cells,
@@ -345,7 +349,7 @@ class RowReadSession:
 
     def branch_power_from(self, V: np.ndarray) -> np.ndarray:
         """Total branch dissipation of each solved column of V (watts)."""
-        dv = self.net.incidence.T @ V
+        dv = branch_voltages(self.net, V)
         return (dv * branch_currents_at(self.net, dv)).sum(axis=0)
 
     def row_currents(self, rows) -> np.ndarray:
@@ -468,10 +472,11 @@ class ConventionalSession:
         The assembled Laplacian rounds device conductances away where they
         sit beside wire conductances on its diagonal, so X = G^-1 B alone
         gives resistances up to 1.2e-6 relative off (an all-HRS 256x256
-        array).  The residual R = E g E'X - B, the system's branch-form
-        imbalance, keeps them.  Z = B'X - X'R equals B'G^-1 B but for the
-        second-order term R'G^-1 R, so it is symmetric to that order and the
-        resistance is w'Zw = Z_aa + Z_bb - 2 Z_ab.  The residual is formed
+        array).  The residual R of X, its branch-form imbalance
+        (``ReducedSystem.imbalance``) less B, keeps them.  Z = B'X - X'R
+        equals B'G^-1 B but for the second-order term R'G^-1 R, so it is
+        symmetric to that order and the resistance is
+        w'Zw = Z_aa + Z_bb - 2 Z_ab.  The residual is formed
         one column at a time, in slices of an eighth of a batch, so beside
         its solved block a batch holds one slice.
         """

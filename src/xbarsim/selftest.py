@@ -23,7 +23,7 @@ from .crossbar import (
 from .devices import CellGrid, LinearDeviceParams, NonlinearDeviceParams, VariationSpec
 from .oracle import dense_reference_solve
 from .readout import RowReadSession, midpoint_threshold, read_row
-from .solver import bitline_currents, node_imbalance, solve, source_power
+from .solver import bitline_currents, branch_voltages, node_imbalance, solve, source_power
 
 _LIN = LinearDeviceParams()
 _NON = NonlinearDeviceParams()
@@ -110,7 +110,7 @@ def power_balance(net, sol) -> tuple[float, float]:
     unknown = ~net.fixed_mask
     p_residual = float(np.dot(v[unknown], node_imbalance(net, v)[unknown]))
     gap = abs(analytics.power_exact(net, sol) - source_power(net, sol) - p_residual)
-    dv = net.incidence.T @ v
+    dv = branch_voltages(net, v)
     bound = dv.size * np.finfo(float).eps * float(np.abs(dv * sol.branch_currents).sum())
     return gap, bound
 

@@ -4,13 +4,14 @@ The nodal system is assembled over all nodes, then fixed-voltage nodes are
 eliminated: ``ReducedSystem`` holds the remaining symmetric
 positive-definite conductance Laplacian, its sparse LU factor, and the one
 refinement rule every solve path ends with.  Residuals are evaluated in
-float64 branch form (``node_imbalance``), which is accurate enough that no
-extended precision is needed.  Linear arrays use one factorization;
-sinh-device arrays use damped Newton iteration with the
-differential-conductance Jacobian, started on wired arrays from the
-ideal-rail solution (each line one node).  Sign convention: device
-current is positive from the wordline node to the bitline node; a node's
-KCL imbalance is the net current leaving it.
+float64 branch form on the crossbar's grid (``node_imbalance``: wire
+segments between neighbouring rail nodes, devices between the wordline and
+bitline planes), which is accurate enough that no extended precision is
+needed.  Linear arrays use one factorization; sinh-device arrays use
+damped Newton iteration with the differential-conductance Jacobian,
+started on wired arrays from the ideal-rail solution (each line one node).
+Sign convention: device current is positive from the wordline node to the
+bitline node; a node's KCL imbalance is the net current leaving it.
 """
 
 from __future__ import annotations
@@ -47,7 +48,9 @@ class SolverConvergenceError(RuntimeError):
 KCL_TOL = 1e-12  # max node-current imbalance of every solve, amperes
 MAX_NEWTON_ITERS = 50
 _MAX_HALVINGS = 20
-_REFINE_STEPS = 8
+# A sinh network's last Newton factor shrinks a soft mode (a line floating behind
+# high-resistance cells) by only 0.1-0.3 a step: the floor can take 30 steps.
+_REFINE_STEPS = 40
 _DISSECTION_LEAF = 64  # nodes per block that nested dissection leaves whole
 # SuperLU sizes its work arrays from nnz(A), several times the fill it writes.
 # Under heap retention (``experiments._retain_freed_heap``) a large factor
@@ -121,9 +124,16 @@ def _device_dv(net: Network, v: np.ndarray) -> np.ndarray:
     return (v[net.dev_a] - v[net.dev_b]).reshape(net.spec.rows, net.spec.cols)
 
 
+def branch_voltages(net: Network, v: np.ndarray) -> np.ndarray:
+    """Voltage across each branch, wires (``Network.wire_*`` order) then
+    devices (cell-major), at node voltages v (a vector, or a matrix with one
+    column per solve)."""
+    return np.concatenate([v[net.wire_a] - v[net.wire_b], v[net.dev_a] - v[net.dev_b]])
+
+
 def branch_currents_at(net: Network, dv: np.ndarray) -> np.ndarray:
-    """Current through each branch, in ``Network.incidence`` order, at
-    branch voltages ``dv`` (a vector, or a matrix with one column per solve)."""
+    """Current through each branch, in ``branch_voltages`` order, at branch
+    voltages ``dv``."""
     nw = net.wire_a.size
     g = net.wire_g if dv.ndim == 1 else net.wire_g[:, None]
     d = dv[nw:]
@@ -133,15 +143,55 @@ def branch_currents_at(net: Network, dv: np.ndarray) -> np.ndarray:
 
 def node_imbalance(net: Network, v: np.ndarray) -> np.ndarray:
     """Net current leaving each node at voltages v (a vector, or a matrix
-    with one column per solve).
+    with one column per solve), formed on the crossbar's grid in
+    ``Network``'s node and wire order: wordline segments along each row of
+    the wordline rail plane, bitline segments down each column of the
+    bitline plane, boundary resistors by index, and devices between the two
+    planes (with one node per line, row and column sums of the device
+    currents).
 
-    Branch voltage differences are formed before any product, so float64
-    keeps nA device currents exact beside the large wire currents: at
-    128x128 this agrees with a long-double evaluation to below 1e-20 A,
-    where the assembled ``G @ v`` is off by 4e-17 A.
+    Each branch's voltage difference is formed before any product, so
+    float64 keeps nA device currents exact beside the large wire currents:
+    on a solved 128x128 wired row read it agrees with a branch-by-branch
+    long-double sum to within 3e-21 A, where the assembled ``G @ v`` is off
+    by 4e-17 A.  Each node adds its branch currents in branch order.
     """
-    E = net.incidence
-    return E @ branch_currents_at(net, E.T @ v)
+    m, n = net.spec.rows, net.spec.cols
+    wired = net.spec.r_wire > 0
+    n_seg = m * (n - 1) + (m - 1) * n if wired else 0
+    ta, tb, g = net.wire_a[n_seg:], net.wire_b[n_seg:], net.wire_g[n_seg:]  # boundary resistors
+    i_term = (g if v.ndim == 1 else g[:, None]) * (v[ta] - v[tb])
+    out = np.zeros(v.shape)
+    out[tb] -= i_term  # a terminal node's only branch
+    if wired:
+        grid = (m, n) + v.shape[1:]
+        W, B = v[:m * n].reshape(grid), v[m * n:2 * m * n].reshape(grid)
+        out_w, out_b = out[:m * n].reshape(grid), out[m * n:2 * m * n].reshape(grid)
+        g_seg = 1.0 / net.spec.r_wire  # every segment's, as build_network sets it
+        i_seg = W[:, :-1] - W[:, 1:]
+        i_seg *= g_seg
+        out_w[:, 1:] -= i_seg
+        out_w[:, :-1] += i_seg
+        # Freed before the next plane-sized temporary is made, so the allocator hands
+        # back mapped pages: faulting in a fresh one costs as much as its arithmetic.
+        del i_seg
+        i_seg = B[:-1] - B[1:]
+        i_seg *= g_seg
+        out_b[1:] -= i_seg
+        out_b[:-1] += i_seg
+        del i_seg
+        out[ta] += i_term  # every line end is its own rail node
+        i_dev = net.cells.currents(net.active_params, W - B)
+        out_w += i_dev
+        out_b -= i_dev
+    else:
+        np.add.at(out, ta, i_term)  # both ends of a line attach to its one node
+        i_dev = net.cells.currents(net.active_params, v[:m, None] - v[None, m:m + n])
+        # Each line node then adds its devices in cell order, which np.cumsum
+        # keeps (np.sum may pair terms), so every node sums in branch order.
+        out[:m] = np.cumsum(np.concatenate([out[:m, None], i_dev], axis=1), axis=1)[:, -1]
+        out[m:m + n] = -np.cumsum(np.concatenate([-out[None, m:m + n], i_dev]), axis=0)[-1]
+    return out
 
 
 def _initial_voltages(net: Network) -> np.ndarray:
@@ -278,7 +328,7 @@ class ReducedSystem:
 
 
 def _finish(system: ReducedSystem, v: np.ndarray, residual: float, iterations: int) -> Solution:
-    i = branch_currents_at(system.net, system.net.incidence.T @ v)
+    i = branch_currents_at(system.net, branch_voltages(system.net, v))
     nw = system.net.wire_a.size
     return Solution(v, i[:nw], i[nw:], residual, iterations)
 
@@ -370,43 +420,3 @@ def source_power(net: Network, sol: Solution) -> float:
     fixed = np.flatnonzero(net.fixed_mask)
     return float(np.dot(sol.node_voltages[fixed], leaving[fixed]))
 
-
-def dump_system(net: Network, path_prefix: str, sol: Solution | None = None) -> list[str]:
-    """Debug dump of the assembled system in plain text.
-
-    Writes ``<prefix>.admittance.mtx`` (MatrixMarket coordinate form of the
-    full nodal conductance matrix, linearized at the solution for sinh
-    devices), ``<prefix>.nodes.txt`` (``index name fixed voltage`` per
-    line), and when a solution is given ``<prefix>.solution.txt``
-    (``index voltage`` lines, then ``branch kind a b current_A`` lines).
-    Returns the written paths.
-    """
-    from scipy.io import mmwrite
-
-    v = sol.node_voltages if sol is not None else _initial_voltages(net)
-    g_dev = net.cells.conductances(net.active_params, _device_dv(net, v)).ravel()
-    paths = [f"{path_prefix}.admittance.mtx", f"{path_prefix}.nodes.txt"]
-    mmwrite(paths[0], assemble_admittance(net, g_dev))
-    with open(paths[1], "w") as f:
-        f.write("# index name fixed voltage\n")
-        for k in range(net.n_nodes):
-            fx = int(net.fixed_mask[k])
-            vv = net.fixed_voltage[k] if fx else float("nan")
-            f.write(f"{k} {net.node_name(k)} {fx} {vv:.12g}\n")
-    if sol is not None:
-        p = f"{path_prefix}.solution.txt"
-        paths.append(p)
-        with open(p, "w") as f:
-            f.write("# node index voltage_V\n")
-            for k, vv in enumerate(sol.node_voltages):
-                f.write(f"node {k} {vv:.12g}\n")
-            f.write("# branch kind node_a node_b current_A\n")
-            for k in range(net.wire_a.size):
-                f.write(
-                    f"branch wire {net.wire_a[k]} {net.wire_b[k]} {sol.wire_currents[k]:.12g}\n"
-                )
-            for k in range(net.dev_a.size):
-                f.write(
-                    f"branch device {net.dev_a[k]} {net.dev_b[k]} {sol.device_currents[k]:.12g}\n"
-                )
-    return paths

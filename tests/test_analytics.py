@@ -17,6 +17,7 @@ from xbarsim.analytics import (
     power_bounds,
     power_exact,
     power_row_approx,
+    power_rows_approx,
     render_fom_table,
     technique_fom_table,
 )
@@ -59,6 +60,14 @@ class TestApproxPower:
         pattern = np.ones((2, 3), np.int8)
         want = (0.5**2 / cells.on_values[1]).sum()
         assert power_row_approx(spec, pattern, cells, 1) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("base", [LIN, NON])
+    def test_every_row_at_once_equals_each_row(self, base):
+        spec = CrossbarSpec(rows=9, cols=37, v_b=0.6)
+        cells = CellGrid.sample(9, 37, base, VariationSpec(0.1, 2))
+        pattern = random_pattern(9, 37, np.random.default_rng(2))
+        got = power_rows_approx(spec, pattern, cells)
+        assert got.tolist() == [power_row_approx(spec, pattern, cells, i) for i in range(9)]
 
 
 class TestPowerBounds:

@@ -18,8 +18,13 @@ from hypothesis import strategies as st
 import xbarsim
 from xbarsim import solver
 from xbarsim.crossbar import (
+    FLOATING,
+    BiasConfig,
     BiasMismatch,
+    Clamp,
     CrossbarSpec,
+    Drive,
+    ResistiveLoad,
     build_network,
     conventional_cell_bias,
     random_pattern,
@@ -39,9 +44,30 @@ from xbarsim.solver import (
 KCL_BOUND = 1e-12
 
 
+def _branch_sums(net, V):
+    """Net current leaving each node, and the sum of the magnitudes of its
+    branch currents, summed branch by branch in long double from the
+    network's branch arrays (V a vector, or a matrix with one column per
+    solve)."""
+    ld = np.longdouble
+    v = np.asarray(V, dtype=ld)
+    per_branch = (-1,) + (1,) * (v.ndim - 1)
+    i_wire = net.wire_g.astype(ld).reshape(per_branch) * (v[net.wire_a] - v[net.wire_b])
+    p = net.active_params.astype(ld).reshape(per_branch)
+    dv = v[net.dev_a] - v[net.dev_b]
+    i_dev = dv / p if net.cells.is_linear else p * np.sinh(ld(net.cells.base.a) * dv)
+    leaving, size = np.zeros(v.shape, dtype=ld), np.zeros(v.shape, dtype=ld)
+    for a, b, i in ((net.wire_a, net.wire_b, i_wire), (net.dev_a, net.dev_b, i_dev)):
+        np.add.at(leaving, a, i)
+        np.add.at(leaving, b, -i)
+        np.add.at(size, a, np.abs(i))
+        np.add.at(size, b, np.abs(i))
+    return leaving, size
+
+
 def _kcl(net, V) -> float:
     """Largest imbalance over the unknown nodes, one column per solve."""
-    leaving = node_imbalance(net, V)[~net.fixed_mask]
+    leaving = _branch_sums(net, V)[0][~net.fixed_mask]
     return float(np.abs(leaving).max()) if leaving.size else 0.0
 
 
@@ -93,6 +119,41 @@ def test_every_path_matches_direct_solve_within_kcl_bound(
         np.testing.assert_allclose(got[i], bitline_currents(net, sol), rtol=0, atol=1e-12)
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    rows=st.integers(1, 6),
+    cols=st.integers(1, 6),
+    r_wire=st.sampled_from([0.0, 10.0]),
+    r_driver=st.sampled_from([0.0, 25.0]),
+    double_sided=st.booleans(),
+    linear=st.booleans(),
+    scheme=st.sampled_from(["row-read", "conventional", "floating-bitlines", "resistive-load"]),
+    seed=st.integers(0, 2**16),
+)
+def test_node_imbalance_matches_branch_by_branch_sum(
+    rows, cols, r_wire, r_driver, double_sided, linear, scheme, seed
+):
+    rng = np.random.default_rng(seed)
+    spec = CrossbarSpec(rows=rows, cols=cols, r_wire=r_wire, r_driver=r_driver,
+                        double_sided_clamps=double_sided)
+    i, j = int(rng.integers(rows)), int(rng.integers(cols))
+    if scheme == "row-read":
+        bias = row_read_bias(spec, i)
+    elif scheme == "conventional":
+        bias = conventional_cell_bias(spec, i, j)
+    else:
+        term = FLOATING if scheme == "floating-bitlines" else ResistiveLoad(1e4, 0.1)
+        wordlines = tuple(Drive(spec.v_dd) if k == i else Clamp(spec.v_b) for k in range(rows))
+        bias = BiasConfig.from_terms(wordlines, (term,) * cols)
+    base = LinearDeviceParams() if linear else NonlinearDeviceParams()
+    cells = CellGrid.sample(rows, cols, base, VariationSpec(0.10, seed))
+    net = build_network(spec, random_pattern(rows, cols, rng), cells, bias)
+    for V in (rng.uniform(0.0, spec.v_dd, net.n_nodes), rng.uniform(0.0, spec.v_dd, (net.n_nodes, 3))):
+        want, size = _branch_sums(net, V)
+        gap = np.abs(node_imbalance(net, V) - want)
+        assert (gap <= 4 * np.finfo(float).eps * size).all()
+
+
 def test_floating_conventional_session_enforces_its_tolerance(monkeypatch):
     spec = CrossbarSpec(rows=6, cols=6, r_wire=10.0)
     rng = np.random.default_rng(4)
@@ -108,28 +169,13 @@ def test_floating_conventional_session_enforces_its_tolerance(monkeypatch):
 
 def _reference_sensed(net) -> np.ndarray:
     """Bitline currents refined with long-double residuals and voltages."""
-    ld = np.longdouble
     u = ~net.fixed_mask
     G = assemble_admittance(net, net.cells.active_conductances(net.pattern))
     lu = spla.splu(G[u][:, u].tocsc())
-    r = np.where(net.pattern.ravel() == 1, net.cells.on_values.ravel(),
-                 net.cells.off_values.ravel()).astype(ld)
-
-    def leaving(v):
-        out = np.zeros(net.n_nodes, dtype=ld)
-        iw = net.wire_g.astype(ld) * (v[net.wire_a] - v[net.wire_b])
-        np.add.at(out, net.wire_a, iw)
-        np.add.at(out, net.wire_b, -iw)
-        i_dev = (v[net.dev_a] - v[net.dev_b]) / r
-        np.add.at(out, net.dev_a, i_dev)
-        np.add.at(out, net.dev_b, -i_dev)
-        return out
-
-    v = np.where(net.fixed_mask, net.fixed_voltage, 0.0).astype(ld)
+    v = np.where(net.fixed_mask, net.fixed_voltage, 0.0).astype(np.longdouble)
     for _ in range(12):
-        v[u] -= lu.solve(leaving(v)[u].astype(np.float64))
-    out = leaving(v)
-    return np.array([-out[a.control_node] for a in net.bl_attach])
+        v[u] -= lu.solve(_branch_sums(net, v)[0][u].astype(np.float64))
+    return -_branch_sums(net, v)[0][net.bl_attach.control_node]
 
 
 def test_session_currents_near_long_double_reference():
