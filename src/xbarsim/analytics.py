@@ -61,22 +61,6 @@ def power_rows_approx(spec: CrossbarSpec, pattern: np.ndarray, cells: CellGrid) 
     return np.sum(_cell_read_power(spec.v_dd - spec.v_b, vals, a), axis=1)
 
 
-def power_bounds(spec: CrossbarSpec, device: DeviceParams, per_cycle: bool = False) -> tuple[float, float]:
-    """All-LRS / all-HRS read-power bounds.
-
-    The headline expression scales with rows x cols x bank count; pass
-    ``per_cycle=True`` for the bank-independent rows x cols variant (the
-    power drawn by one full-array read pass).
-    """
-    delta = spec.v_dd - spec.v_b
-    scale = spec.rows * spec.cols * (1 if per_cycle else spec.n_banks)
-    if isinstance(device, LinearDeviceParams):
-        return scale * delta**2 / device.hrs_ohms, scale * delta**2 / device.lrs_ohms
-    lo = scale * device.k_off * delta * np.sinh(device.a * delta)
-    hi = scale * device.k_on * delta * np.sinh(device.a * delta)
-    return float(lo), float(hi)
-
-
 def power_exact(net: Network, sol: Solution) -> float:
     """Total dissipation summed branch by branch (equals source injection)."""
     v = sol.node_voltages

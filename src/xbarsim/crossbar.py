@@ -59,10 +59,6 @@ class CrossbarSpec:
                 f"bank_width must divide cols ({self.cols}), got {self.bank_width}"
             )
 
-    @property
-    def n_banks(self) -> int:
-        return 1 if self.bank_width is None else self.cols // self.bank_width
-
 
 # Line sources / terminations -------------------------------------------------
 

@@ -56,7 +56,9 @@ from .solver import (
 )
 
 _CHORD_MAX_ITERS = 80
-_BATCH_TARGET_FLOATS = 16_000_000  # ~128 MB per batched dense block
+# ~128 MB: sizes the conventional session's solved block, whose terminal
+# columns must share one batch; row reads go ``solver._PANEL`` rows a batch.
+_BATCH_TARGET_FLOATS = 16_000_000
 
 
 class SchemeKind(Enum):
@@ -268,11 +270,16 @@ class RowReadSession:
 
     The fixed-node set of the row-read bias does not depend on the selected
     row, so one ``ReducedSystem`` factorized at zero device bias serves
-    every row.  Ohmic rows are solved and refined by it directly, many rows
-    per batch.  Sinh rows start with every rail node at its line's voltage
-    (the ideal-rail solution) and iterate on that frozen Jacobian against
-    the true KCL residual until ``solver.KCL_TOL``, with a per-row exact
-    Newton fallback, at the same hold voltage, if the iteration stalls.
+    every row.  Ohmic rows are solved and refined by it directly.  Sinh
+    rows start with every rail node at its line's voltage (the ideal-rail
+    solution) and iterate on that frozen Jacobian against the true KCL
+    residual until ``solver.KCL_TOL``, with a per-row exact Newton
+    fallback, at the same hold voltage, if the iteration stalls.
+
+    ``row_currents`` reads ``solver._PANEL`` rows per batch, the width of
+    one solve panel, so each residual, iterate and correction stays a few
+    MB: a 128-row block of a 128x128 array is 32 MiB, which the campaigns'
+    heap settings map and fault in afresh every time.
     """
 
     def __init__(
@@ -334,7 +341,7 @@ class RowReadSession:
             if it > 6 and worst > 0.5 * last:
                 break  # frozen-Jacobian iteration stalled; fall back per row
             last = worst
-            W[system.unknown] -= system.lu.solve(F)
+            W[system.unknown] -= system.solve_block(F)
             F = system.imbalance(W)
         spec = dataclasses.replace(self.spec, v_b=v_b)
         for c in active:
@@ -355,9 +362,8 @@ class RowReadSession:
     def row_currents(self, rows) -> np.ndarray:
         rows = list(rows)
         out = np.empty((len(rows), self.spec.cols))
-        step = _batch_columns(self.net.n_nodes, len(rows))
-        for s in range(0, len(rows), step):
-            chunk = rows[s:s + step]
+        for s in range(0, len(rows), solver._PANEL):
+            chunk = rows[s:s + solver._PANEL]
             V = self.solve_rows(chunk)
             out[s:s + len(chunk)] = self.bitline_currents_from(V)
         return out
@@ -483,10 +489,7 @@ class ConventionalSession:
         system = self.system
         n_red = system.unknown.size
         B = sp.csc_matrix((vals, (rows, cols)), shape=(n_red, k))
-        dense = np.zeros((n_red, k))  # pages left untouched stay unmapped
-        dense[rows, cols] = vals
-        X = system.lu.solve(dense)
-        del dense
+        X = system.solve_block(B)
         touched = np.unique(rows)
         S = B[touched].T @ X[touched]
         z_diag = np.zeros(k + 1)

@@ -52,6 +52,7 @@ _MAX_HALVINGS = 20
 # high-resistance cells) by only 0.1-0.3 a step: the floor can take 30 steps.
 _REFINE_STEPS = 40
 _DISSECTION_LEAF = 64  # nodes per block that nested dissection leaves whole
+_PANEL = 16  # right-hand-side columns per SuperLU solve (see ReducedSystem)
 # SuperLU sizes its work arrays from nnz(A), several times the fill it writes.
 # Under heap retention (``experiments._retain_freed_heap``) a large factor
 # placed on freed heap pages that are still resident holds all of them, and one
@@ -263,6 +264,29 @@ class ReducedSystem:
     (``r_wire = 0``).  The block is symmetric positive definite (a grounded
     Laplacian, or a sinh Jacobian with positive differential conductances),
     so it is factored in that order in symmetric mode with no pivoting.
+
+    ``solve_block`` is the one caller of the factor's solve, and it hands
+    SuperLU any block ``_PANEL`` columns at a time.  SuperLU's multi-column
+    triangular solve sweeps each supernode across every column it is given,
+    so it slows per column as the block widens.  Median ms per column of a
+    128-column C-ordered block solved in calls of each width, on a wired
+    linear row-read factor (one BLAS thread, widths interleaved over seven
+    passes):
+
+    ================  =====  =====  =====  =====  =====  =====
+    array             1      8      16     32     64     128
+    ================  =====  =====  =====  =====  =====  =====
+    128x128 (32512)   3.14   2.41   2.26   2.25   2.36   2.43
+    192x192 (73344)   7.99   5.06   4.52   4.46   4.73   5.21
+    256x256 (130560)  20.13  11.40  11.11  10.35  11.95  12.31
+    ================  =====  =====  =====  =====  =====  =====
+
+    16 columns are within 8% of the best width at each size.  A panel also
+    keeps SuperLU's own copy of the right-hand side (a few MB) on reused
+    heap, where a block of 32 MiB or more (the 252 terminal columns of a
+    128x128 conventional session take 66 MB) is mapped and faulted in
+    afresh under the campaigns' heap settings
+    (``experiments._retain_freed_heap``).
     """
 
     def __init__(self, net: Network):
@@ -286,6 +310,26 @@ class ReducedSystem:
             if trim is not None:
                 trim(0)
 
+    def solve_block(self, B) -> np.ndarray:
+        """Solve the factored block against B: a vector, a dense matrix with
+        one column per solve, or a sparse matrix (unit right-hand sides),
+        ``_PANEL`` columns per SuperLU call.  A matrix answer is in Fortran
+        order; a sparse B is scattered into it and solved there in place,
+        so no dense copy of B is made."""
+        if sp.issparse(B):
+            X = np.zeros(B.shape, order="F")  # pages left untouched stay unmapped
+            B = B.tocoo()
+            X[B.row, B.col] = B.data
+            B = X
+        elif B.ndim == 1 or B.shape[1] <= _PANEL:
+            return self.lu.solve(B)
+        else:
+            X = np.empty(B.shape, order="F")
+        for s in range(0, B.shape[1], _PANEL):
+            c = slice(s, s + _PANEL)
+            X[:, c] = self.lu.solve(B[:, c])
+        return X
+
     def imbalance(self, V: np.ndarray) -> np.ndarray:
         """Net current leaving each unknown node."""
         if not self.unknown.size:
@@ -307,10 +351,10 @@ class ReducedSystem:
             return V
         prev = np.inf
         for _ in range(_REFINE_STEPS):
-            delta = self.lu.solve(self.imbalance(V))
+            delta = self.solve_block(self.imbalance(V))
             V[self.unknown] -= delta
             step = np.abs(delta).max()
-            if step <= np.spacing(np.abs(V).max()) or step >= prev:
+            if step <= np.spacing(max(V.max(), -V.min())) or step >= prev:
                 break
             prev = step
         return V
@@ -364,7 +408,7 @@ def solve_nonlinear(net: Network) -> Solution:
         if (np.abs(f_u).max() if f_u.size else 0.0) <= KCL_TOL:
             break
         system.factor(net.cells.conductances(net.active_params, _device_dv(net, v)).ravel())
-        delta = system.lu.solve(-f_u)
+        delta = system.solve_block(-f_u)
         norm0 = np.linalg.norm(f_u)
         alpha = 1.0
         for _ in range(_MAX_HALVINGS + 1):

@@ -14,7 +14,6 @@ from xbarsim.analytics import (
     max_column_width,
     mismatch_simulation_check,
     mismatch_unwanted_current,
-    power_bounds,
     power_exact,
     power_row_approx,
     power_rows_approx,
@@ -68,21 +67,6 @@ class TestApproxPower:
         pattern = random_pattern(9, 37, np.random.default_rng(2))
         got = power_rows_approx(spec, pattern, cells)
         assert got.tolist() == [power_row_approx(spec, pattern, cells, i) for i in range(9)]
-
-
-class TestPowerBounds:
-    def test_paper_maximum(self):
-        spec = CrossbarSpec(rows=512, cols=512)
-        lo, hi = power_bounds(spec, LIN)
-        assert hi == pytest.approx(512 * 512 * 0.25 / 1e6, rel=1e-12)  # 65.5 mW
-        assert lo / hi == pytest.approx(1e-3, rel=1e-12)
-
-    def test_bank_count_scales_headline_bound(self):
-        spec1 = CrossbarSpec(rows=512, cols=512, bank_width=512)
-        spec4 = CrossbarSpec(rows=512, cols=512, bank_width=128)
-        assert power_bounds(spec4, LIN)[1] == pytest.approx(4 * power_bounds(spec1, LIN)[1])
-        # per-cycle variant is bank-independent
-        assert power_bounds(spec4, LIN, per_cycle=True) == power_bounds(spec1, LIN, per_cycle=True)
 
 
 class TestPowerExact:

@@ -44,14 +44,28 @@ NON = NonlinearDeviceParams()
 
 
 def _count_solved_columns(session: ConventionalSession | RowReadSession) -> list[int]:
-    """Wrap a session's factor; the returned list collects the number of
-    columns of every solve."""
+    """Wrap a session's block solve; the returned list collects the number
+    of columns of every block it solves."""
+    solved = []
+    solve_block = session.system.solve_block
+
+    def counting(b):
+        solved.append(b.shape[1])
+        return solve_block(b)
+
+    session.system.solve_block = counting
+    return solved
+
+
+def _count_superlu_columns(session: ConventionalSession | RowReadSession) -> list[int]:
+    """Wrap a session's SuperLU factor; the returned list collects the
+    number of columns of every call of its solve."""
     solved = []
     lu = session.system.lu
 
     class CountingLU:
         def solve(self, b):
-            solved.append(b.shape[1])
+            solved.append(b.shape[1] if b.ndim == 2 else 1)
             return lu.solve(b)
 
     session.system.lu = CountingLU()
@@ -241,6 +255,21 @@ class TestConventionalRead:
         want = np.array([read_cell_conventional(spec, cells, pattern, i, j) for i, j in targets])
         assert np.abs(sliced / want - 1).max() < 1e-9
 
+    def test_floating_session_solves_in_panels(self):
+        # 47 terminal columns (24 wordlines, 23 bitlines beside the ground)
+        # in one batch, handed to SuperLU as panels of 16, 16 and 15
+        spec = CrossbarSpec(rows=24, cols=24, r_wire=10.0, r_driver=25.0)
+        rng = np.random.default_rng(41)
+        pattern = random_pattern(24, 24, rng)
+        cells = CellGrid.sample(24, 24, LIN, VariationSpec(0.1, 41))
+        session = ConventionalSession(spec, cells, pattern)
+        targets = [(i, j) for i in range(24) for j in (i, (i + 7) % 24, int(rng.integers(24)))]
+        blocks, panels = _count_solved_columns(session), _count_superlu_columns(session)
+        got = session.currents(targets)
+        assert blocks == [47] and panels == [16, 16, 15]
+        want = np.array([read_cell_conventional(spec, cells, pattern, i, j) for i, j in targets])
+        assert np.abs(got / want - 1).max() < 1e-9
+
     def test_sinh_read_factors_its_full_block_once(self, monkeypatch):
         # Newton starts from the ideal-rail solution, so the wired block is
         # factored once; the one-node-per-line network takes the rest.
@@ -357,6 +386,20 @@ class TestRowReadSession:
         session = RowReadSession(spec, cells, pattern)
         got = session.row_currents(range(7))
         for i in (0, 3, 6):
+            want = read_row(spec, cells, pattern, i).sensed
+            assert np.abs(got[i] - want).max() < 1e-11
+
+    @pytest.mark.parametrize("base", [LIN, NON])
+    def test_row_map_solves_in_panels(self, base):
+        # 40 rows read as panels of 16, 16 and 8: no SuperLU call is wider
+        spec = CrossbarSpec(rows=40, cols=40, r_wire=10.0)
+        pattern = random_pattern(40, 40, np.random.default_rng(43))
+        cells = CellGrid.sample(40, 40, base, VariationSpec(0.1, 43))
+        session = RowReadSession(spec, cells, pattern)
+        panels = _count_superlu_columns(session)
+        got = session.current_map()
+        assert max(panels) == solver._PANEL and 8 in panels
+        for i in (0, 15, 16, 31, 32, 39):
             want = read_row(spec, cells, pattern, i).sensed
             assert np.abs(got[i] - want).max() < 1e-11
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -288,6 +289,23 @@ def test_dissection_order_keeps_fill_below_colamd():
     u = np.flatnonzero(~net.fixed_mask)
     default = spla.splu(assemble_admittance(net, g)[u][:, u].tocsc())
     assert system.lu.nnz <= 0.6 * default.nnz
+
+
+def test_block_solve_in_panels_equals_one_column_at_a_time():
+    # 37 columns: two full panels and a partial one, dense or sparse
+    spec = CrossbarSpec(rows=12, cols=12, r_wire=10.0)
+    pattern = random_pattern(12, 12, np.random.default_rng(3))
+    cells = CellGrid.sample(12, 12, LinearDeviceParams(), VariationSpec(0.10, 3))
+    system = ReducedSystem(build_network(spec, pattern, cells, row_read_bias(spec, 0)))
+    system.factor(cells.active_conductances(pattern))
+    rng = np.random.default_rng(3)
+    B = rng.standard_normal((system.unknown.size, 37))
+    unit = sp.random(system.unknown.size, 37, density=0.02, random_state=3, format="csc")
+    for rhs, dense in ((B, B), (unit, unit.toarray())):
+        X = system.solve_block(rhs)
+        assert X.flags.f_contiguous
+        for c in range(37):
+            assert np.array_equal(X[:, c], system.lu.solve(dense[:, c]))
 
 
 # Factors a 96x96 row read (18240 unknowns), optionally after freeing 40 MB of
