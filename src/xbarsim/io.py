@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ from . import __version__
 
 # nA-scale signals need headroom: 12 significant digits everywhere.
 _FLOAT_FMT = "{:.12g}"
+_CSV_CHUNK_ROWS = 4096
 
 
 def fmt_value(v):
@@ -24,14 +26,33 @@ def fmt_value(v):
     return str(v)
 
 
+# ``fmt_value`` of a value of exactly this type (a bool's type is bool, not int).
+_TYPE_FMT = {float: _FLOAT_FMT.format, int: str, str: str}
+
+
+def _fmt_column(values) -> list:
+    """``fmt_value`` of each value; one bound formatter for the whole column
+    when every value has the same type in ``_TYPE_FMT``."""
+    types = set(map(type, values))
+    fmt = _TYPE_FMT.get(types.pop(), fmt_value) if len(types) == 1 else fmt_value
+    return list(map(fmt, values))
+
+
 def write_csv(path, header, rows) -> Path:
+    """Write ``header`` and then ``rows`` (any iterable of equal-length rows).
+
+    Rows are taken ``_CSV_CHUNK_ROWS`` at a time and formatted a column at
+    a time, so a column of one type costs one bound formatter call per
+    value and no type test; the chunk bound keeps a large map's text from
+    being held whole."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    rows = iter(rows)
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(header)
-        for row in rows:
-            w.writerow([fmt_value(v) for v in row])
+        while chunk := list(itertools.islice(rows, _CSV_CHUNK_ROWS)):
+            w.writerows(zip(*map(_fmt_column, zip(*chunk, strict=True))))
     return path
 
 

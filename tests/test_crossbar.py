@@ -2,8 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from xbarsim.crossbar import (
     BIAS_CLAMP,
@@ -95,15 +97,19 @@ class TestConventionalBias:
         cells = CellGrid.sample(2, 2, LinearDeviceParams(), NOVAR)
         net = build_network(spec, np.ones((2, 2), np.int8), cells,
                             conventional_cell_bias(spec, 0, 0))
-        import scipy.sparse as sp
-        from scipy.sparse.csgraph import connected_components
-
         keep = ~((net.dev_a == net.wl_nodes[0, 0]) & (net.dev_b == net.bl_nodes[0, 0]))
-        a = np.concatenate([net.wire_a, net.dev_a[keep]])
-        b = np.concatenate([net.wire_b, net.dev_b[keep]])
-        adj = sp.coo_matrix((np.ones(a.size), (a, b)), shape=(net.n_nodes, net.n_nodes))
-        _, labels = connected_components(adj, directed=False)
+        _, labels = _components(net, keep)
         assert labels[net.wl_nodes[0, 0]] == labels[net.bl_nodes[1, 0]]
+
+
+def _components(net, keep=None):
+    """Connected-component labels of the network's branch graph (``keep``
+    masks the devices)."""
+    keep = np.ones(net.dev_a.size, dtype=bool) if keep is None else keep
+    a = np.concatenate([net.wire_a, net.dev_a[keep]])
+    b = np.concatenate([net.wire_b, net.dev_b[keep]])
+    adj = sp.coo_matrix((np.ones(a.size), (a, b)), shape=(net.n_nodes, net.n_nodes))
+    return connected_components(adj, directed=False)
 
 
 def _attached_line_ends(net):
@@ -299,6 +305,40 @@ class TestNodeNames:
         cells = CellGrid.sample(2, 2, LinearDeviceParams(), NOVAR)
         net = build_network(spec, np.zeros((2, 2), np.int8), cells, row_read_bias(spec, 1))
         assert net.node_name(6) == "wl[0].terminal_far"
+
+
+_shapes = st.one_of(st.tuples(st.just(1), st.integers(1, 6)),
+                    st.tuples(st.integers(1, 6), st.just(1)),
+                    st.tuples(st.integers(1, 6), st.integers(1, 6)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=_shapes,
+    r_wire=st.sampled_from([0.0, 10.0]),
+    r_driver=st.sampled_from([0.0, 25.0]),
+    double_sided=st.booleans(),
+    scheme=st.sampled_from(["row", "conventional", "floating", "resistive"]),
+    data=st.data(),
+)
+def test_every_network_is_one_connected_component(shape, r_wire, r_driver, double_sided,
+                                                   scheme, data):
+    # solver.check_grounded relies on this: one fixed node anchors the whole network
+    rows, cols = shape
+    i, j = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))
+    spec = CrossbarSpec(rows=rows, cols=cols, r_wire=r_wire, r_driver=r_driver,
+                        double_sided_clamps=double_sided)
+    if scheme == "row":
+        bias = row_read_bias(spec, i)
+    elif scheme == "conventional":
+        bias = conventional_cell_bias(spec, i, j)
+    else:
+        wordlines = tuple(Drive(spec.v_dd) if k == i else Clamp(spec.v_b) for k in range(rows))
+        term = FLOATING if scheme == "floating" else ResistiveLoad(1e4)
+        bias = BiasConfig.from_terms(wordlines, (term,) * cols)
+    cells = CellGrid.sample(rows, cols, LinearDeviceParams(), NOVAR)
+    net = build_network(spec, np.zeros((rows, cols), np.int8), cells, bias)
+    assert _components(net)[0] == 1
 
 
 # Independent per-line reference of the network construction ------------------

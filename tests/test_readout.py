@@ -434,6 +434,19 @@ class TestRowReadSession:
         assert np.abs(i2 - want).max() < 1e-12
         assert np.all(i2 < i1)
 
+    def test_linear_session_solves_each_row_twice(self):
+        # the direct solve and one refinement step per row, no confirming third
+        spec = CrossbarSpec(rows=20, cols=12, r_wire=10.0, double_sided_clamps=True)
+        pattern = random_pattern(20, 12, np.random.default_rng(37))
+        cells = CellGrid.sample(20, 12, LIN, VariationSpec(0.1, 37))
+        session = RowReadSession(spec, cells, pattern)
+        solved = _count_solved_columns(session)
+        session.current_map()
+        assert solved == [16, 16, 4, 4]
+        V = session.solve_rows(range(20))
+        leaving = node_imbalance(session.net, V)[~session.net.fixed_mask]
+        assert np.abs(leaving).max() <= solver.KCL_TOL
+
     def test_sinh_session_takes_two_chord_passes(self):
         # Rail nodes start at their line's voltage, so a 32x32 row map
         # reaches the KCL bound in two frozen-Jacobian passes, not three.

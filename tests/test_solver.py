@@ -83,6 +83,18 @@ class TestLinearSolve:
         err = np.abs(i_scaled.branch_currents - c * i_full.branch_currents)
         assert err.max() < 1e-10 * np.abs(i_full.branch_currents).max()
 
+    def test_direct_solve_then_one_refinement_step(self):
+        # the second correction predicts a third below the rounding floor,
+        # so no third solve is made only to confirm it
+        spec = CrossbarSpec(rows=5, cols=4, r_wire=10.0, r_driver=25.0)
+        net = build(spec, LIN, row_read_bias(spec, 2), sigma=0.1, seed=7)
+        with mock.patch.object(solver.ReducedSystem, "solve_block", autospec=True,
+                               side_effect=solver.ReducedSystem.solve_block) as solves:
+            sol = solve_linear(net)
+        assert solves.call_count == 2
+        assert sol.kcl_residual <= solver.KCL_TOL
+        assert np.abs(sol.node_voltages - dense_reference_solve(net).node_voltages).max() <= 1e-14
+
     def test_requires_linear_cells(self):
         spec = CrossbarSpec(rows=2, cols=2, r_wire=10.0)
         net = build(spec, NON, row_read_bias(spec, 0))

@@ -1,6 +1,9 @@
 """The benchmark's layer tracer (``perfbench/layers.py``) wraps program
 names from outside; a refactor that drops one of them breaks
-``perfbench/run.py --trace 1`` while the program itself still runs."""
+``perfbench/run.py --trace 1`` while the program itself still runs, and
+one that goes round a wrapped name (row solves outside
+``RowReadSession.solve_rows``, CSVs outside ``experiments.write_csv``)
+leaves its counts at 0."""
 
 import json
 import os
@@ -40,5 +43,6 @@ def test_traced_cdf_and_map_count_every_layer():
     )
     assert proc.returncode == 0, proc.stderr
     metrics = json.loads(proc.stdout.strip().splitlines()[-1])
-    for name in ("solver.factor_calls", "readout.conv_cells", "readout.solve_rows_cols"):
+    for name in ("solver.factor_calls", "solver.trisolve_cols", "readout.conv_cells",
+                 "readout.solve_rows_cols", "io.csv_rows"):
         assert metrics[name] > 0, name
