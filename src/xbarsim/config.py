@@ -146,6 +146,14 @@ class ExperimentConfig:
             raise ValueError(f"pattern_p must be in (0, 1), got {self.pattern_p}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        # An empty campaign has nothing to report: reject it here, not mid-run.
+        for name in ("sample_cells", "backgrounds", "power_rows", "scheme_rows", "map_bins"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("sizes", "scheme_sizes"):
+            sizes = getattr(self, name)
+            if not sizes or min(sizes) < 1:
+                raise ValueError(f"{name} must be a nonempty list of positive sizes, got {list(sizes)}")
 
 
 @dataclass(frozen=True)

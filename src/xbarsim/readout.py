@@ -56,8 +56,9 @@ from .solver import (
 )
 
 _CHORD_MAX_ITERS = 80
-# ~128 MB: sizes the conventional session's solved block, whose terminal
-# columns must share one batch; row reads go ``solver._PANEL`` rows a batch.
+# ~128 MB: caps the conventional session's solved wordline-end columns, the
+# only ones that outlive their panel (arrays up to about 200x200); row reads
+# go ``solver._PANEL`` rows a batch.
 _BATCH_TARGET_FLOATS = 16_000_000
 
 
@@ -248,10 +249,6 @@ def read_row_resistive(
 # Factorization-reuse sessions --------------------------------------------------
 
 
-def _batch_columns(n_nodes: int, requested: int) -> int:
-    return max(1, min(requested, _BATCH_TARGET_FLOATS // max(n_nodes, 1)))
-
-
 def _line_voltages(net: Network, wl_v: np.ndarray, bl_v: np.ndarray) -> np.ndarray:
     """Node-voltage matrix with every line's control node set from its row
     of ``wl_v`` (wordlines x solves) or ``bl_v`` (bitlines x solves), both
@@ -305,6 +302,9 @@ class RowReadSession:
         does not depend on the bias values, so the override is free.
         """
         rows = list(rows)
+        for i in rows:
+            if not (0 <= i < self.spec.rows):
+                raise IndexError(f"row {i} out of range for {self.spec.rows} rows")
         v_b = self.spec.v_b if v_b is None else v_b
         k = np.arange(len(rows))
         wl_v = np.repeat((v_b + self.mismatch.wordline_dv)[:, None], len(rows), axis=1)
@@ -391,10 +391,11 @@ class ConventionalSession:
     session network's only fixed node is that ground, so the grounded
     Laplacian is the unknown block of its ``ReducedSystem``.  One
     factorization and one back-substitution per distinct wordline and
-    bitline answer every cell (one per cell when the terminals outnumber a
-    batch or the cells).  The branch-form residual of those solves corrects
-    each resistance and, scaled by the cell's current, is checked against
-    ``solver.KCL_TOL``.
+    bitline answer every cell, or one per cell when the cells are fewer
+    than their terminals or the solved wordline-end columns, which outlive
+    their panel, would exceed ``_BATCH_TARGET_FLOATS``.  The branch-form
+    residual of those solves corrects each resistance and, scaled by the
+    cell's current, is checked against ``solver.KCL_TOL``.
     """
 
     def __init__(self, spec: CrossbarSpec, cells: CellGrid, pattern: np.ndarray):
@@ -428,33 +429,38 @@ class ConventionalSession:
 
     def currents(self, cells_ij) -> np.ndarray:
         """Sensed current for each (i, j) target: one solved column per
-        distinct terminal when the terminals fit one batch and number no
-        more than the cells (a cell's two columns must share a batch), else
-        one column per cell."""
+        distinct terminal when the terminals number no more than the cells
+        and the wordline-end columns fit ``_BATCH_TARGET_FLOATS``, else one
+        column per cell."""
         cells_ij = list(cells_ij)
         if not cells_ij:
             return np.empty(0)
         ii, jj = (np.array(x, dtype=np.int64) for x in zip(*cells_ij))
+        bad = (ii < 0) | (ii >= self.spec.rows) | (jj < 0) | (jj >= self.spec.cols)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise IndexError(f"cell ({ii[k]}, {jj[k]}) out of range for "
+                             f"{self.spec.rows}x{self.spec.cols}")
         p, q = self._p[ii], self._q[jj]
         p_terms, q_terms = np.unique(p), np.unique(q[q >= 0])
         n_p, n_t = p_terms.size, p_terms.size + q_terms.size
-        step = _batch_columns(self.net.n_nodes, len(cells_ij))
-        if n_t <= step:
+        n_red = self.system.unknown.size
+        if n_t <= len(cells_ij) and n_p * n_red <= _BATCH_TARGET_FLOATS:
+            B = sp.csc_matrix((np.ones(n_t), (np.concatenate([p_terms, q_terms]), np.arange(n_t))),
+                              shape=(n_red, n_t))
+            z_diag, z_cross, res = self._pair_resistances(B, n_p)
             a = np.searchsorted(p_terms, p)
             b = np.where(q >= 0, n_p + np.searchsorted(q_terms, q), n_t)
-            r_eff, res = self._pair_resistances(
-                np.concatenate([p_terms, q_terms]), np.arange(n_t), np.ones(n_t), n_t, n_p, a, b)
+            r_eff = z_diag[a] + z_diag[b] - 2.0 * z_cross[a, b - n_p]
+            res = res[a] + res[b]
         else:
-            r_eff, res = np.empty(len(cells_ij)), np.empty(len(cells_ij))
-            for s in range(0, len(cells_ij), step):
-                k = np.arange(min(step, len(cells_ij) - s))
-                pc, qc = p[s:s + k.size], q[s:s + k.size]
-                on = qc >= 0
-                rows = np.concatenate([pc, qc[on]])
-                cols = np.concatenate([k, k[on]])
-                vals = np.concatenate([np.ones(k.size), -np.ones(int(on.sum()))])
-                r_eff[s:s + k.size], res[s:s + k.size] = self._pair_resistances(
-                    rows, cols, vals, k.size, k.size, k, np.full(k.size, k.size))
+            k = np.arange(len(cells_ij))
+            on = q >= 0
+            B = sp.csc_matrix((np.concatenate([np.ones(k.size), -np.ones(int(on.sum()))]),
+                               (np.concatenate([p, q[on]]), np.concatenate([k, k[on]]))),
+                              shape=(n_red, k.size))
+            z_diag, _, res = self._pair_resistances(B, 0)
+            r_eff, res = z_diag[:-1], res[:-1]
         out = self.spec.v_dd / (r_eff + 2.0 * self.spec.r_driver)
         bound = out * res
         worst = int(np.argmax(bound))
@@ -469,11 +475,13 @@ class ConventionalSession:
     def current(self, i: int, j: int) -> float:
         return float(self.currents([(i, j)])[0])
 
-    def _pair_resistances(self, rows, cols, vals, k, n_a, a, b):
-        """Effective resistance of w = e_a - e_b over the k columns of the
-        sparse right-hand side B, and a bound on the KCL residual of its
-        solution per unit current.  Columns below n_a serve as a, the others
-        as b; b == k stands for no column.
+    def _pair_resistances(self, B, n_a):
+        """Terms of the effective resistance of w = e_a - e_b over the
+        columns of the sparse right-hand side B: Z's diagonal, its cross
+        block Z_ab (a below n_a, b from n_a on), and a bound on the KCL
+        residual of each column's solution per unit current.  Each ends in
+        a zero entry (``z_cross`` in a zero column) that stands for no
+        column: index k of ``z_diag`` and ``res``, for B's k columns.
 
         The assembled Laplacian rounds device conductances away where they
         sit beside wire conductances on its diagonal, so X = G^-1 B alone
@@ -482,35 +490,40 @@ class ConventionalSession:
         (``ReducedSystem.imbalance``) less B, keeps them.  Z = B'X - X'R
         equals B'G^-1 B but for the second-order term R'G^-1 R, so it is
         symmetric to that order and the resistance is
-        w'Zw = Z_aa + Z_bb - 2 Z_ab.  The residual is formed
-        one column at a time, in slices of an eighth of a batch, so beside
-        its solved block a batch holds one slice.
+        w'Zw = Z_aa + Z_bb - 2 Z_ab.
+
+        B is solved ``solver._PANEL`` columns at a time, and each panel's
+        residual and terms are formed before the next is solved, so only
+        the first n_a columns of X, which the cross term needs, outlive
+        their panel.
         """
         system = self.system
-        n_red = system.unknown.size
-        B = sp.csc_matrix((vals, (rows, cols)), shape=(n_red, k))
-        X = system.solve_block(B)
-        touched = np.unique(rows)
-        S = B[touched].T @ X[touched]
-        z_diag = np.zeros(k + 1)
-        z_diag[:k] = np.diagonal(S)
+        n_red, k = B.shape
+        z_diag, res = np.zeros(k + 1), np.zeros(k + 1)
         z_cross = np.zeros((n_a, k - n_a + 1))
-        z_cross[:, :-1] = S[:n_a, n_a:]
-        res = np.zeros(k + 1)
+        X_a = np.empty((n_red, n_a), order="F")
+        touched = np.unique(B.indices)
+        B_t = B[touched].T.tocsr()
         x = np.zeros(self.net.n_nodes)  # the ground stays at zero
-        width = _batch_columns(8 * n_red, k)
-        for s in range(0, k, width):
-            c = slice(s, min(s + width, k))
+        for s in range(0, k, solver._PANEL):
+            c = slice(s, min(s + solver._PANEL, k))
+            X = system.solve_block(B[:, c])
+            if s < n_a:
+                X_a[:, s:min(c.stop, n_a)] = X[:, :n_a - s]
+            S = B_t @ X[touched]  # B'X for this panel's columns of X
             # column by column: one vector at a time runs faster than a few
-            R = np.empty((n_red, c.stop - s), order="F")
-            for t in range(s, c.stop):
+            R = np.empty(X.shape, order="F")
+            for t in range(X.shape[1]):
                 x[system.unknown] = X[:, t]
-                R[:, t - s] = system.imbalance(x)
+                R[:, t] = system.imbalance(x)
             Bc = B[:, c].tocoo()
             R[Bc.row, Bc.col] -= Bc.data
-            z_diag[c] -= np.einsum("ij,ij->j", X[:, c], R)
+            z_diag[c] = np.diagonal(S[c]) - np.einsum("ij,ij->j", X, R)
             if c.stop > n_a:
                 lo = max(s, n_a)
-                z_cross[:, lo - n_a:c.stop - n_a] -= X[:, :n_a].T @ R[:, lo - s:]
+                z_cross[:, lo - n_a:c.stop - n_a] = S[:n_a, lo - s:] - X_a.T @ R[:, lo - s:]
             res[c] = np.abs(R, out=R).max(axis=0)
-        return z_diag[a] + z_diag[b] - 2.0 * z_cross[a, b - n_a], res[a] + res[b]
+            # Freed before the next panel is solved, which would otherwise
+            # hold two more panels beside the new one.
+            del X, R
+        return z_diag, z_cross, res

@@ -269,10 +269,9 @@ class ReducedSystem:
 
     16 columns are within 8% of the best width at each size.  A panel also
     keeps SuperLU's own copy of the right-hand side (a few MB) on reused
-    heap, where a block of 32 MiB or more (the 252 terminal columns of a
-    128x128 conventional session take 66 MB) is mapped and faulted in
-    afresh under the campaigns' heap settings
-    (``experiments._retain_freed_heap``).
+    heap, where a block of 32 MiB or more is mapped and faulted in afresh
+    under the campaigns' heap settings (``experiments._retain_freed_heap``);
+    so the row and conventional sessions hand over one panel at a time.
     """
 
     def __init__(self, net: Network):

@@ -193,6 +193,34 @@ class TestCli:
         lines = (tmp_path / "read-row-1.csv").read_text().splitlines()
         assert len(lines) == 9
 
+    @pytest.mark.parametrize("row", [-1, 8])
+    def test_read_row_rejects_a_row_outside_the_array(self, tmp_path, capsys, row):
+        code = run_cli(
+            ["--set", "crossbar.rows=8", "--set", "crossbar.cols=8", "read-row", "--row", str(row)],
+            tmp_path,
+        )
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "IndexError" and f"row {row} out of range" in err["message"]
+        assert not (tmp_path / "read-row-1.csv").exists()
+
+    @pytest.mark.parametrize("override,command", [
+        ("experiment.backgrounds=0", "cdf"),
+        ("experiment.sample_cells=0", "cdf"),
+        ("experiment.power_rows=0", "power-sweep"),
+        ("experiment.sizes=[]", "power-sweep"),
+        ("experiment.sizes=[16,0]", "power-sweep"),
+        ("experiment.map_bins=0", "map"),
+        ("experiment.scheme_rows=0", "compare-schemes"),
+        ("experiment.scheme_sizes=[]", "compare-schemes"),
+    ])
+    def test_empty_campaign_is_a_config_error(self, tmp_path, capsys, override, command):
+        size = ["--set", "crossbar.rows=8", "--set", "crossbar.cols=8"]
+        assert run_cli([*size, "--set", override, command], tmp_path) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and err["where"] == "experiment"
+        assert override.split(".")[1].split("=")[0] in err["message"]
+
     def test_read_row_reads_the_same_array_as_map(self, tmp_path, capsys):
         size = ["--set", "crossbar.rows=16", "--set", "crossbar.cols=16"]
         assert run_cli([*size, "read-row", "--row", "3"], tmp_path) == 0

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,54 +222,64 @@ class TestConventionalRead:
         assert sum(solved) == len(rows) + len(cols) - int(with_ground_column)
         assert sum(solved) < len(targets)
 
-    def test_floating_session_solves_per_cell_when_terminals_overflow_a_batch(self, monkeypatch):
-        # a cell's two terminal columns must share a batch; with room for
-        # only three columns the session takes one column per cell instead
-        spec = CrossbarSpec(rows=6, cols=7, r_wire=10.0, r_driver=25.0)
-        pattern = random_pattern(6, 7, np.random.default_rng(19))
-        cells = CellGrid.sample(6, 7, LIN, VariationSpec(0.1, 19))
-        session = ConventionalSession(spec, cells, pattern)
-        monkeypatch.setattr(readout, "_BATCH_TARGET_FLOATS", 3 * session.net.n_nodes)
-        targets = [(0, 0), (5, 6), (3, 2), (3, 6), (1, 4), (0, 0), (2, 5)]
-        solved = _count_solved_columns(session)
-        got = session.currents(targets)
-        assert solved == [3, 3, 1]
-        want = np.array([read_cell_conventional(spec, cells, pattern, i, j) for i, j in targets])
-        assert np.abs(got / want - 1).max() < 1e-9
-
-    def test_floating_session_residual_slices_match_one_slice(self, monkeypatch):
-        # four-column residual slices: the first straddles the wordline and
-        # bitline terminal columns, as a batch of a large array does
+    def test_floating_session_panels_straddle_terminal_kinds(self, monkeypatch):
+        # five-column panels: the first holds the three wordline-end columns
+        # and two bitline-end columns, so the cross term of a bitline column
+        # reads wordline columns solved in its own panel
         spec = CrossbarSpec(rows=6, cols=7, r_wire=10.0, r_driver=25.0)
         pattern = random_pattern(6, 7, np.random.default_rng(23))
         cells = CellGrid.sample(6, 7, LIN, VariationSpec(0.1, 23))
         session = ConventionalSession(spec, cells, pattern)
-        targets = [(0, 0), (0, 1), (3, 1), (3, 2), (5, 0), (5, 2), (0, 6), (3, 0)]
+        targets = [(0, 0), (0, 1), (3, 1), (3, 2), (5, 0), (5, 2), (0, 6), (3, 0), (5, 4)]
         whole = session.currents(targets)
-        n_red = session.net.n_nodes - 1  # every node but the ground
-        monkeypatch.setattr(readout, "_BATCH_TARGET_FLOATS", 8 * 4 * n_red)
-        assert readout._batch_columns(8 * n_red, len(targets)) == 4
-        solved = _count_solved_columns(session)
-        sliced = session.currents(targets)
-        assert solved == [6]
-        np.testing.assert_allclose(sliced, whole, rtol=1e-14, atol=0)
+        monkeypatch.setattr(solver, "_PANEL", 5)
+        panels = _count_superlu_columns(session)
+        paneled = session.currents(targets)
+        assert panels == [5, 2]  # 3 wordline ends, 4 bitline ends beside the ground
+        np.testing.assert_allclose(paneled, whole, rtol=1e-14, atol=0)
         want = np.array([read_cell_conventional(spec, cells, pattern, i, j) for i, j in targets])
-        assert np.abs(sliced / want - 1).max() < 1e-9
+        assert np.abs(paneled / want - 1).max() < 1e-9
 
-    def test_floating_session_solves_in_panels(self):
-        # 47 terminal columns (24 wordlines, 23 bitlines beside the ground)
-        # in one batch, handed to SuperLU as panels of 16, 16 and 15
-        spec = CrossbarSpec(rows=24, cols=24, r_wire=10.0, r_driver=25.0)
-        rng = np.random.default_rng(41)
-        pattern = random_pattern(24, 24, rng)
-        cells = CellGrid.sample(24, 24, LIN, VariationSpec(0.1, 41))
+    def test_floating_session_solves_per_cell_when_wordline_ends_overflow(self, monkeypatch):
+        # the solved wordline-end columns outlive their panel; when they
+        # would exceed the batch target the session takes one column per cell
+        spec = CrossbarSpec(rows=6, cols=7, r_wire=10.0, r_driver=25.0)
+        pattern = random_pattern(6, 7, np.random.default_rng(19))
+        cells = CellGrid.sample(6, 7, LIN, VariationSpec(0.1, 19))
         session = ConventionalSession(spec, cells, pattern)
-        targets = [(i, j) for i in range(24) for j in (i, (i + 7) % 24, int(rng.integers(24)))]
-        blocks, panels = _count_solved_columns(session), _count_superlu_columns(session)
+        targets = [(i, j) for i in (0, 3, 5) for j in (0, 2, 4, 6)]
+        n_red = session.system.unknown.size
+        solved = _count_solved_columns(session)
+        monkeypatch.setattr(readout, "_BATCH_TARGET_FLOATS", 3 * n_red)
+        session.currents(targets)
+        assert sum(solved) == 3 + 3  # bitline 6 ends in the ground
+        solved.clear()
+        monkeypatch.setattr(readout, "_BATCH_TARGET_FLOATS", 3 * n_red - 1)
         got = session.currents(targets)
-        assert blocks == [47] and panels == [16, 16, 15]
+        assert sum(solved) == len(targets)
         want = np.array([read_cell_conventional(spec, cells, pattern, i, j) for i, j in targets])
         assert np.abs(got / want - 1).max() < 1e-9
+
+    def test_floating_session_holds_wordline_ends_and_a_few_panels(self):
+        # a wide array has far more bitline ends than wordline ends; the
+        # solved bitline-end columns are reduced panel by panel, never held
+        spec = CrossbarSpec(rows=24, cols=96, r_wire=10.0, r_driver=25.0)
+        pattern = random_pattern(24, 96, np.random.default_rng(29))
+        cells = CellGrid.sample(24, 96, LIN, VariationSpec(0.1, 29))
+        session = ConventionalSession(spec, cells, pattern)
+        targets = [(i % 24, j) for j in range(96) for i in (j, j + 7)]
+        solved = _count_solved_columns(session)
+        tracemalloc.start()
+        try:
+            got = session.currents(targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(solved) == 24 + 95  # one column per terminal
+        assert peak < (24 + 3 * solver._PANEL) * session.system.unknown.size * 8
+        picks = targets[::17]
+        want = np.array([read_cell_conventional(spec, cells, pattern, i, j) for i, j in picks])
+        assert np.abs(got[::17] / want - 1).max() < 1e-9
 
     def test_sinh_read_factors_its_full_block_once(self, monkeypatch):
         # Newton starts from the ideal-rail solution, so the wired block is
@@ -288,6 +299,17 @@ class TestConventionalRead:
         assert factored.count(10.0) == 1
         assert 0 < factored.count(0.0) <= 4
         assert got > 0
+
+    def test_session_rejects_cells_outside_the_array(self):
+        # (-1, 0) would otherwise read cell (3, 0)
+        spec = CrossbarSpec(rows=4, cols=4, r_wire=10.0)
+        pattern = random_pattern(4, 4, np.random.default_rng(31))
+        cells = CellGrid.sample(4, 4, LIN, VariationSpec(0.1, 31))
+        session = ConventionalSession(spec, cells, pattern)
+        for target in ((-1, 0), (0, -1), (4, 0), (0, 4)):
+            with pytest.raises(IndexError, match=r"out of range for 4x4"):
+                session.currents([(1, 1), target])
+        assert session.current(3, 0) > 0
 
     def test_session_rejects_nonlinear(self):
         pattern = random_pattern(3, 3, np.random.default_rng(1))
@@ -412,6 +434,20 @@ class TestRowReadSession:
         got = session.row_currents([2])[0]
         want = read_row(spec, cells, pattern, 2, mismatch=mism).sensed
         assert np.abs(got - want).max() < 1e-12
+
+    def test_session_rejects_rows_outside_the_array(self):
+        # a negative row would otherwise wrap to the far end of the array
+        spec = CrossbarSpec(rows=4, cols=4, r_wire=10.0)
+        pattern = random_pattern(4, 4, np.random.default_rng(23))
+        cells = CellGrid.sample(4, 4, LIN, VariationSpec(0.1, 23))
+        session = RowReadSession(spec, cells, pattern)
+        for rows in ([-1], [0, 4], [2, -4]):
+            with pytest.raises(IndexError, match="out of range for 4 rows"):
+                session.solve_rows(rows)
+            with pytest.raises(IndexError, match="out of range for 4 rows"):
+                session.row_currents(rows)
+        with pytest.raises(IndexError):
+            session.read_row_result(-1)
 
     def test_read_row_result_classifies(self):
         spec = CrossbarSpec(rows=4, cols=4, r_wire=10.0)
