@@ -507,7 +507,10 @@ class ConventionalSession:
         x = np.zeros(self.net.n_nodes)  # the ground stays at zero
         for s in range(0, k, solver._PANEL):
             c = slice(s, min(s + solver._PANEL, k))
-            X = system.solve_block(B[:, c])
+            Bc = B[:, c].tocoo()
+            X = np.zeros(Bc.shape, order="F")  # the panel's right-hand side, then its solution
+            X[Bc.row, Bc.col] = Bc.data
+            X = system.solve_block(X)
             if s < n_a:
                 X_a[:, s:min(c.stop, n_a)] = X[:, :n_a - s]
             S = B_t @ X[touched]  # B'X for this panel's columns of X
@@ -516,7 +519,6 @@ class ConventionalSession:
             for t in range(X.shape[1]):
                 x[system.unknown] = X[:, t]
                 R[:, t] = system.imbalance(x)
-            Bc = B[:, c].tocoo()
             R[Bc.row, Bc.col] -= Bc.data
             z_diag[c] = np.diagonal(S[c]) - np.einsum("ij,ij->j", X, R)
             if c.stop > n_a:

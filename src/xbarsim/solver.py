@@ -296,20 +296,12 @@ class ReducedSystem:
                 trim(0)
 
     def solve_block(self, B) -> np.ndarray:
-        """Solve the factored block against B: a vector, a dense matrix with
-        one column per solve, or a sparse matrix (unit right-hand sides),
-        ``_PANEL`` columns per SuperLU call.  A matrix answer is in Fortran
-        order; a sparse B is scattered into it and solved there in place,
-        so no dense copy of B is made."""
-        if sp.issparse(B):
-            X = np.zeros(B.shape, order="F")  # pages left untouched stay unmapped
-            B = B.tocoo()
-            X[B.row, B.col] = B.data
-            B = X
-        elif B.ndim == 1 or B.shape[1] <= _PANEL:
+        """Solve the factored block against B, a vector or a matrix with one
+        column per solve, ``_PANEL`` columns per SuperLU call.  A matrix
+        answer is in Fortran order."""
+        if B.ndim == 1 or B.shape[1] <= _PANEL:
             return self.lu.solve(B)
-        else:
-            X = np.empty(B.shape, order="F")
+        X = np.empty(B.shape, order="F")
         for s in range(0, B.shape[1], _PANEL):
             c = slice(s, s + _PANEL)
             X[:, c] = self.lu.solve(B[:, c])
