@@ -240,7 +240,7 @@ class TestConventionalRead:
         want = np.array([read_cell_conventional(spec, cells, pattern, i, j) for i, j in targets])
         assert np.abs(paneled / want - 1).max() < 1e-9
 
-    def test_floating_session_solves_per_cell_when_wordline_ends_overflow(self, monkeypatch):
+    def test_floating_session_goes_per_cell_on_wordline_overflow(self, monkeypatch):
         # the solved wordline-end columns outlive their panel; when they
         # would exceed the batch target the session takes one column per cell
         spec = CrossbarSpec(rows=6, cols=7, r_wire=10.0, r_driver=25.0)
