@@ -36,8 +36,6 @@ from .readout import (  # noqa: F401
     midpoint_threshold,
     read_cell_conventional,
     read_row,
-    read_row_floating,
-    read_row_resistive,
 )
 from .solver import (  # noqa: F401
     SingularNetworkError,

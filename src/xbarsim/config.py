@@ -154,6 +154,9 @@ class ExperimentConfig:
             sizes = getattr(self, name)
             if not sizes or min(sizes) < 1:
                 raise ValueError(f"{name} must be a nonempty list of positive sizes, got {list(sizes)}")
+        for name in ("v_b_list", "delta_v_grid"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be a nonempty list")
 
 
 @dataclass(frozen=True)
@@ -180,6 +183,10 @@ class RunConfig:
             self.device.base_params()
         except (ValueError, TypeError) as e:
             raise ConfigError("device", str(e)) from e
+        # The power sweep skips hold voltages at or above v_dd.
+        if min(self.experiment.v_b_list) >= self.crossbar.v_dd:
+            raise ConfigError("experiment", f"v_b_list {list(self.experiment.v_b_list)} has no "
+                              f"value below crossbar.v_dd ({self.crossbar.v_dd} V)")
         return self
 
 

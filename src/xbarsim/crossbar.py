@@ -218,9 +218,17 @@ class BiasMismatch:
         return cls(wl, np.zeros(spec.cols))
 
 
-def row_read_bias(spec: CrossbarSpec, selected_row: int, mismatch: BiasMismatch | None = None) -> BiasConfig:
-    """One-cycle row read: drive the selected wordline to v_dd, clamp every
-    other line (wordlines and all bitlines) to v_b plus any per-line offset."""
+def row_read_bias(
+    spec: CrossbarSpec,
+    selected_row: int,
+    mismatch: BiasMismatch | None = None,
+    bitlines: Floating | ResistiveLoad | None = None,
+) -> BiasConfig:
+    """Row read: drive the selected wordline to v_dd and clamp every other
+    wordline to v_b plus any per-line offset.  Every bitline takes
+    ``bitlines``: ``None`` clamps each to v_b plus its offset (the one-cycle
+    row readout); ``FLOATING`` or a ``ResistiveLoad`` gives the
+    voltage-sensing baselines, whose bitlines take no offset."""
     if not (0 <= selected_row < spec.rows):
         raise IndexError(f"selected_row {selected_row} out of range for {spec.rows} rows")
     wl_dv = mismatch.wordline_dv if mismatch is not None else np.zeros(spec.rows)
@@ -231,12 +239,16 @@ def row_read_bias(spec: CrossbarSpec, selected_row: int, mismatch: BiasMismatch 
     wl_kind[selected_row] = BIAS_DRIVE
     wl_v = spec.v_b + np.asarray(wl_dv, dtype=float)
     wl_v[selected_row] = spec.v_dd
-    return BiasConfig(
-        wl_kind, wl_v, np.full(spec.rows, np.nan),
-        np.full(spec.cols, BIAS_CLAMP, dtype=np.int8),
-        spec.v_b + np.asarray(bl_dv, dtype=float),
-        np.full(spec.cols, np.nan),
-    )
+    if bitlines is None:
+        bl = (np.full(spec.cols, BIAS_CLAMP, dtype=np.int8),
+              spec.v_b + np.asarray(bl_dv, dtype=float), np.full(spec.cols, np.nan))
+    elif not isinstance(bitlines, Floating | ResistiveLoad):
+        raise TypeError(f"bitlines must be None, FLOATING or a ResistiveLoad, got {bitlines!r}")
+    elif np.any(bl_dv):
+        raise ValueError("bitline offsets apply only to clamped bitlines")
+    else:
+        bl = line_arrays(spec.cols, bitlines)
+    return BiasConfig(wl_kind, wl_v, np.full(spec.rows, np.nan), *bl)
 
 
 def conventional_cell_bias(

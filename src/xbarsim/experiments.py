@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analytics, readout
 from .config import RunConfig, config_echo
-from .crossbar import CrossbarSpec, random_pattern
+from .crossbar import FLOATING, CrossbarSpec, ResistiveLoad, random_pattern
 from .devices import HRS, LRS, CellGrid, DeviceParams, VariationSpec
 from .io import default_output_dir, write_csv, write_summary_json
 from .readout import (
@@ -382,24 +382,19 @@ def _scheme_populations(scheme: str, cfg: RunConfig, spec: CrossbarSpec,
                         cells: CellGrid, pattern, rng) -> tuple[np.ndarray, np.ndarray, str]:
     exp = cfg.experiment
     rows = sorted(rng.choice(spec.rows, size=min(exp.scheme_rows, spec.rows), replace=False).tolist())
-    if scheme == SchemeKind.ROW_READOUT.value:
-        session = RowReadSession(spec, cells, pattern)
-        values = session.row_currents(rows)
-        bits = pattern[rows]
-        return values.ravel(), bits.ravel(), "A"
     if scheme == SchemeKind.CONVENTIONAL.value:
         targets, values = _conventional_reads(spec, cells, pattern, rng, min(exp.sample_cells, 256))
         bits = np.array([pattern[i, j] for i, j in targets])
         return values, bits, "A"
-    if scheme == SchemeKind.FLOATING_BITLINES.value:
-        reads = [readout.read_row_floating(spec, cells, pattern, i) for i in rows]
-    elif scheme == SchemeKind.RESISTIVE_LOAD.value:
-        reads = [readout.read_row_resistive(spec, cells, pattern, i, r_s=exp.r_s) for i in rows]
-    else:
+    bitlines = {
+        SchemeKind.ROW_READOUT.value: None,
+        SchemeKind.FLOATING_BITLINES.value: FLOATING,
+        SchemeKind.RESISTIVE_LOAD.value: ResistiveLoad(exp.r_s),
+    }
+    if scheme not in bitlines:
         raise ValueError(f"unknown scheme {scheme!r}")
-    values = np.concatenate([r.sensed for r in reads])
-    bits = np.concatenate([r.true_bits for r in reads])
-    return values, bits, "V"
+    session = RowReadSession(spec, cells, pattern, bitlines=bitlines[scheme])
+    return session.row_currents(rows).ravel(), pattern[rows].ravel(), session.unit
 
 
 def run_scheme_compare(cfg: RunConfig, out_dir=None) -> dict:

@@ -3,14 +3,17 @@ compared against (the conventional single-cell read with unselected lines
 floating, and floating-bitline and resistive-load row reads), with
 threshold classification and error statistics.
 
-Besides the one-shot operations, two session classes reuse a single sparse
-factorization across many reads of the same sampled array: row reads share
-one matrix for every selected row (only the right-hand side changes; sinh
-devices iterate from the ideal-rail voltages on a frozen zero-bias Jacobian
-with true-residual verification), and single-cell sweeps take one solve per
-distinct terminal line, from which every cell's two-terminal effective
-resistance follows.
-Both factor through ``solver.ReducedSystem``.
+Two session classes reuse a single sparse factorization across many reads
+of the same sampled array.  ``RowReadSession`` serves every row read, with
+its bitlines clamped (current sensing), floating or loaded (voltage
+sensing): one matrix serves every selected row, and only the right-hand
+side changes.  Sinh rows of a clamped session iterate from the ideal-rail
+voltages on a frozen zero-bias Jacobian with true-residual verification.
+``ConventionalSession`` takes one solve per distinct terminal line of a
+single-cell sweep, from which every cell's two-terminal effective
+resistance follows.  Both factor through ``solver.ReducedSystem``.
+``read_row`` and ``read_cell_conventional`` solve one read afresh; the
+first is the reference that row sessions are checked against.
 """
 
 from __future__ import annotations
@@ -28,13 +31,12 @@ import scipy.sparse.linalg as spla  # noqa: F401
 from . import solver
 from .crossbar import (
     BIAS_CLAMP,
-    BIAS_DRIVE,
     FLOATING,
     TERM_FLOATING,
     BiasConfig,
     BiasMismatch,
-    Clamp,
     CrossbarSpec,
+    Floating,
     Network,
     ResistiveLoad,
     build_network,
@@ -71,16 +73,10 @@ class SchemeKind(Enum):
 
 @dataclass(frozen=True)
 class ReadResult:
-    """Sensed values of one row read, classified against a threshold.
-
-    ``sensed`` holds currents (unit 'A') for current-sensing schemes and
-    bitline voltages (unit 'V') for the floating / resistive-load baselines.
-    """
+    """Sensed bitline currents of one row read, classified against a threshold."""
 
     row: int
-    columns: np.ndarray
     sensed: np.ndarray
-    unit: str
     threshold: float
     classified_bits: np.ndarray
     true_bits: np.ndarray
@@ -91,9 +87,9 @@ class ReadResult:
 
     def csv_rows(self):
         """Rows of (row, col, true_bit, sensed value, read_bit)."""
-        for k, col in enumerate(self.columns):
-            yield (self.row, int(col), int(self.true_bits[k]),
-                   float(self.sensed[k]), int(self.classified_bits[k]))
+        for col in range(self.sensed.size):
+            yield (self.row, col, int(self.true_bits[col]),
+                   float(self.sensed[col]), int(self.classified_bits[col]))
 
 
 def midpoint_threshold(spec: CrossbarSpec, base: DeviceParams) -> float:
@@ -141,28 +137,11 @@ def split_by_state(values: np.ndarray, true_bits: np.ndarray) -> tuple[np.ndarra
     return values[true_bits == LRS], values[true_bits != LRS]
 
 
-def _auto_voltage_threshold(values: np.ndarray, true_bits: np.ndarray) -> float:
-    """Fallback decision level for voltage reads: best split of this read's
-    own labeled values (a single open-circuit level has no per-cell ideal)."""
-    lrs, hrs = split_by_state(values, true_bits)
-    if lrs.size == 0:
-        return float(np.max(values)) + 1.0
-    if hrs.size == 0:
-        return float(np.min(values)) - 1.0
-    return best_threshold_ber(lrs, hrs)[0]
-
-
-def _make_result(row, sensed, unit, threshold, true_bits, columns=None) -> ReadResult:
+def _make_result(row, sensed, threshold, true_bits) -> ReadResult:
     sensed = np.asarray(sensed, dtype=float)
-    if columns is None:
-        columns = np.arange(sensed.size)
-    if threshold is None:
-        threshold = _auto_voltage_threshold(sensed, true_bits)
     return ReadResult(
         row=row,
-        columns=np.asarray(columns),
         sensed=sensed,
-        unit=unit,
         threshold=float(threshold),
         classified_bits=classify(sensed, threshold),
         true_bits=np.asarray(true_bits, dtype=np.int8),
@@ -186,7 +165,7 @@ def read_row(
         threshold = midpoint_threshold(spec, cells.base)
     net = build_network(spec, pattern, cells, row_read_bias(spec, i, mismatch))
     currents = bitline_currents(net, solve(net))
-    return _make_result(i, currents, "A", threshold, pattern[i])
+    return _make_result(i, currents, threshold, pattern[i])
 
 
 def read_cell_conventional(
@@ -204,74 +183,44 @@ def read_cell_conventional(
     return float(bitline_currents(net, sol, columns=[j])[0])
 
 
-def _voltage_row_bias(spec: CrossbarSpec, i: int, term) -> BiasConfig:
-    """Row i driven, other wordlines clamped to v_b, every bitline given ``term``."""
-    wl_kind, wl_v, wl_r = line_arrays(spec.rows, Clamp(spec.v_b))
-    wl_kind[i], wl_v[i] = BIAS_DRIVE, spec.v_dd
-    return BiasConfig(wl_kind, wl_v, wl_r, *line_arrays(spec.cols, term))
-
-
-def read_row_floating(
-    spec: CrossbarSpec,
-    cells: CellGrid,
-    pattern: np.ndarray,
-    i: int,
-    threshold: float | None = None,
-) -> ReadResult:
-    """Row drive with open bitlines; senses the open-circuit voltage at the
-    sense end of each bitline."""
-    pattern = check_pattern(spec, pattern)
-    net = build_network(spec, pattern, cells, _voltage_row_bias(spec, i, FLOATING))
-    sol = solve(net)
-    sense_nodes = net.bl_nodes[spec.rows - 1, :]
-    voltages = sol.node_voltages[sense_nodes]
-    return _make_result(i, voltages, "V", threshold, pattern[i])
-
-
-def read_row_resistive(
-    spec: CrossbarSpec,
-    cells: CellGrid,
-    pattern: np.ndarray,
-    i: int,
-    r_s: float,
-    to: float = 0.0,
-    threshold: float | None = None,
-) -> ReadResult:
-    """Row drive with a sense resistor r_s from each bitline to ``to``;
-    senses the voltage developed across each resistor."""
-    pattern = check_pattern(spec, pattern)
-    net = build_network(spec, pattern, cells, _voltage_row_bias(spec, i, ResistiveLoad(r_s, to)))
-    sol = solve(net)
-    voltages = sol.node_voltages[net.bl_attach.attach_node] - to
-    return _make_result(i, voltages, "V", threshold, pattern[i])
-
-
 # Factorization-reuse sessions --------------------------------------------------
 
 
 def _line_voltages(net: Network, wl_v: np.ndarray, bl_v: np.ndarray) -> np.ndarray:
-    """Node-voltage matrix with every line's control node set from its row
-    of ``wl_v`` (wordlines x solves) or ``bl_v`` (bitlines x solves), both
-    ends of a double-sided wordline alike, and zeros elsewhere."""
+    """Node-voltage matrix with every attached line's control node set from
+    its row of ``wl_v`` (wordlines x solves) or ``bl_v`` (bitlines x
+    solves), both ends of a double-sided wordline alike, and zeros
+    elsewhere."""
     V = np.zeros((net.n_nodes, wl_v.shape[1]))
     V[net.wl_attach.control_node] = wl_v
-    far = net.wl_attach_far
-    on = far.kind != TERM_FLOATING
-    V[far.control_node[on]] = wl_v[on]
-    V[net.bl_attach.control_node] = bl_v
+    for att, v in ((net.wl_attach_far, wl_v), (net.bl_attach, bl_v)):
+        on = att.kind != TERM_FLOATING
+        V[att.control_node[on]] = v[on]
     return V
 
 
 class RowReadSession:
-    """Row readout of one sampled array with a single factorization.
+    """Row reads of one sampled array with a single factorization.
 
-    The fixed-node set of the row-read bias does not depend on the selected
-    row, so one ``ReducedSystem`` factorized at zero device bias serves
-    every row.  Ohmic rows are solved and refined by it directly.  Sinh
-    rows start with every rail node at its line's voltage (the ideal-rail
-    solution) and iterate on that frozen Jacobian against the true KCL
-    residual until ``solver.KCL_TOL``, with a per-row exact Newton
-    fallback, at the same hold voltage, if the iteration stalls.
+    Every bitline takes the termination ``bitlines`` (as in
+    ``crossbar.row_read_bias``), and the session senses what it gives:
+    with ``None`` each bitline is clamped at the hold voltage and senses
+    the current into its clamp (the one-cycle row readout, ``unit`` 'A');
+    with ``FLOATING`` or a ``ResistiveLoad(r_s, to)`` it senses the voltage
+    at its sense end, less ``to`` for a load (the voltage-sensing
+    baselines, ``unit`` 'V').  ``row_currents``, ``current_map`` and
+    ``bitline_currents_from`` return these sensed values.
+
+    The fixed-node set of the bias does not depend on the selected row, so
+    one ``ReducedSystem`` factorized at zero device bias serves every row.
+    Ohmic rows are solved and refined by it directly.  Sinh rows of a
+    clamped session start with every rail node at its line's voltage (the
+    ideal-rail solution) and iterate on that frozen Jacobian against the
+    true KCL residual until ``solver.KCL_TOL``, with a per-row exact Newton
+    fallback, at the same hold voltage, if the iteration stalls.  Sinh rows
+    of the other terminations take that Newton solve directly: their
+    bitlines couple to the array only through high-resistance cells, so a
+    residual of ``KCL_TOL`` still leaves their voltages microvolts off.
 
     ``row_currents`` reads ``solver._PANEL`` rows per batch, the width of
     one solve panel, so each residual, iterate and correction stays a few
@@ -285,14 +234,20 @@ class RowReadSession:
         cells: CellGrid,
         pattern: np.ndarray,
         mismatch: BiasMismatch | None = None,
+        bitlines: Floating | ResistiveLoad | None = None,
     ):
         self.spec = spec
         self.cells = cells
         self.pattern = check_pattern(spec, pattern)
         self.mismatch = mismatch if mismatch is not None else BiasMismatch.zeros(spec)
-        self.net = build_network(spec, self.pattern, cells, row_read_bias(spec, 0, self.mismatch))
+        self.bitlines = bitlines
+        self.unit = "A" if bitlines is None else "V"
+        self._v_ref = bitlines.to if isinstance(bitlines, ResistiveLoad) else 0.0
+        self.net = build_network(spec, self.pattern, cells,
+                                 row_read_bias(spec, 0, self.mismatch, bitlines))
         self.system = ReducedSystem(self.net)
-        self.system.factor(cells.active_conductances(self.pattern))
+        if cells.is_linear or bitlines is None:  # else no row uses the factor
+            self.system.factor(cells.active_conductances(self.pattern))
         self._bl_ctrl = self.net.bl_attach.control_node
 
     def solve_rows(self, rows, v_b: float | None = None) -> np.ndarray:
@@ -309,11 +264,13 @@ class RowReadSession:
         k = np.arange(len(rows))
         wl_v = np.repeat((v_b + self.mismatch.wordline_dv)[:, None], len(rows), axis=1)
         wl_v[rows, k] = self.spec.v_dd
-        bl_v = np.repeat((v_b + self.mismatch.bitline_dv)[:, None], len(rows), axis=1)
-        V = _line_voltages(self.net, wl_v, bl_v)
+        bl = v_b + self.mismatch.bitline_dv if self.bitlines is None else self.net.bias.bl_v
+        V = _line_voltages(self.net, wl_v, np.repeat(bl[:, None], len(rows), axis=1))
         if self.cells.is_linear:
             return self.system.solve(V)[0]
-        return self._solve_rows_chord(rows, V, v_b)
+        if self.bitlines is None:
+            return self._solve_rows_chord(rows, V, v_b)
+        return self._newton_rows(rows, V, k, v_b)
 
     def _solve_rows_chord(self, rows, V: np.ndarray, v_b: float) -> np.ndarray:
         system, net = self.system, self.net
@@ -343,16 +300,23 @@ class RowReadSession:
             last = worst
             W[system.unknown] -= system.solve_block(F)
             F = system.imbalance(W)
+        return self._newton_rows(rows, V, active, v_b)
+
+    def _newton_rows(self, rows, V: np.ndarray, cols, v_b: float) -> np.ndarray:
+        """Exact Newton solve of each column c in ``cols`` of V, the read of
+        ``rows[c]`` with this session's bitlines, at hold voltage v_b."""
         spec = dataclasses.replace(self.spec, v_b=v_b)
-        for c in active:
+        for c in cols:
             row_net = build_network(spec, self.pattern, self.cells,
-                                    row_read_bias(spec, rows[c], self.mismatch))
+                                    row_read_bias(spec, rows[c], self.mismatch, self.bitlines))
             V[:, c] = solve_nonlinear(row_net).node_voltages
         return V
 
     def bitline_currents_from(self, V: np.ndarray) -> np.ndarray:
-        """Per-column sense currents for each solved column of V (cols x N)."""
-        return -node_imbalance(self.net, V)[self._bl_ctrl].T
+        """Per-column sensed values for each solved column of V (cols x N)."""
+        if self.bitlines is None:
+            return -node_imbalance(self.net, V)[self._bl_ctrl].T
+        return (V[self.net.bl_attach.attach_node] - self._v_ref).T
 
     def branch_power_from(self, V: np.ndarray) -> np.ndarray:
         """Total branch dissipation of each solved column of V (watts)."""
@@ -369,14 +333,19 @@ class RowReadSession:
         return out
 
     def current_map(self) -> np.ndarray:
-        """Sensed current of every cell: row i of the map is the row-i read."""
+        """Sensed value of every cell: row i of the map is the row-i read."""
         return self.row_currents(range(self.spec.rows))
 
     def read_row_result(self, i: int, threshold: float | None = None) -> ReadResult:
+        """Row i's currents classified against ``threshold`` (by default
+        ``midpoint_threshold``); a voltage-sensing session has none."""
+        if self.bitlines is not None:
+            raise TypeError("read_row_result classifies sensed currents, "
+                            "and this session senses bitline voltages")
         if threshold is None:
             threshold = midpoint_threshold(self.spec, self.cells.base)
         currents = self.row_currents([i])[0]
-        return _make_result(i, currents, "A", threshold, self.pattern[i])
+        return _make_result(i, currents, threshold, self.pattern[i])
 
 
 class ConventionalSession:

@@ -213,6 +213,9 @@ class TestCli:
         ("experiment.map_bins=0", "map"),
         ("experiment.scheme_rows=0", "compare-schemes"),
         ("experiment.scheme_sizes=[]", "compare-schemes"),
+        ("experiment.v_b_list=[]", "power-sweep"),
+        ("experiment.v_b_list=[1.3]", "power-sweep"),
+        ("experiment.delta_v_grid=[]", "mismatch"),
     ])
     def test_empty_campaign_is_a_config_error(self, tmp_path, capsys, override, command):
         size = ["--set", "crossbar.rows=8", "--set", "crossbar.cols=8"]

@@ -11,6 +11,7 @@ from xbarsim.crossbar import (
     BIAS_CLAMP,
     BIAS_DRIVE,
     BIAS_FLOATING,
+    BIAS_LOAD,
     FLOATING,
     TERM_DIRECT,
     TERM_FLOATING,
@@ -73,6 +74,20 @@ class TestRowReadBias:
         mism = BiasMismatch(np.zeros(2), np.array([0.0, 2e-3]))
         bias = row_read_bias(spec, 0, mism)
         assert bias.bl_kind[1] == BIAS_CLAMP and bias.bl_v[1] == 0.702
+
+    def test_voltage_sensing_bitlines(self):
+        spec = CrossbarSpec(rows=2, cols=2)
+        bias = row_read_bias(spec, 1, bitlines=ResistiveLoad(1e4, 0.1))
+        assert bias.wl_kind.tolist() == [BIAS_CLAMP, BIAS_DRIVE]
+        assert bias.bl_kind.tolist() == [BIAS_LOAD] * 2
+        assert bias.bl_v.tolist() == [0.1, 0.1] and bias.bl_r.tolist() == [1e4, 1e4]
+        assert row_read_bias(spec, 1, bitlines=FLOATING).bl_kind.tolist() == [BIAS_FLOATING] * 2
+        with pytest.raises(TypeError, match="bitlines must be"):
+            row_read_bias(spec, 0, bitlines=Clamp(0.0))
+        # an offset belongs to a clamp; a floating or loaded bitline has none
+        mism = BiasMismatch(np.zeros(2), np.array([0.0, 2e-3]))
+        with pytest.raises(ValueError, match="only to clamped bitlines"):
+            row_read_bias(spec, 0, mism, bitlines=FLOATING)
 
 
 class TestConventionalBias:

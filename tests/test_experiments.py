@@ -233,6 +233,18 @@ class TestSchemeCompare:
         bers = [float(line.split(",")[2]) for line in conv]
         assert max(bers) > 0.02
 
+    def test_byte_identical_across_worker_counts_and_reruns(self, tmp_path):
+        runs = {"w1": 1, "w3": 3, "rerun": 1}
+        for name, workers in runs.items():
+            run_scheme_compare(small_cfg(workers=workers), tmp_path / name)
+        csv, js = ([(tmp_path / name / f"scheme-compare-7.{ext}").read_bytes() for name in runs]
+                   for ext in ("csv", "json"))
+        assert csv[0] == csv[1] == csv[2]
+        assert js[0] == js[2]
+        j1, j3 = json.loads(js[0]), json.loads(js[1])
+        j1["config"]["experiment"]["workers"] = j3["config"]["experiment"]["workers"]
+        assert j1 == j3
+
 
 class TestSummaryRoundTrip:
     def test_summary_json_reparses_to_written_payload(self, tmp_path):

@@ -9,13 +9,16 @@ from hypothesis import strategies as st
 
 from xbarsim import readout, solver
 from xbarsim.crossbar import (
+    FLOATING,
     BiasConfig,
     BiasMismatch,
     Clamp,
     CrossbarSpec,
     Drive,
+    ResistiveLoad,
     build_network,
     random_pattern,
+    row_read_bias,
 )
 from xbarsim.devices import (
     HRS,
@@ -33,8 +36,6 @@ from xbarsim.readout import (
     midpoint_threshold,
     read_cell_conventional,
     read_row,
-    read_row_floating,
-    read_row_resistive,
     split_by_state,
 )
 from xbarsim.solver import bitline_currents, node_imbalance, solve
@@ -42,6 +43,16 @@ from xbarsim.solver import bitline_currents, node_imbalance, solve
 NOVAR = VariationSpec(0.0, 0)
 LIN = LinearDeviceParams()
 NON = NonlinearDeviceParams()
+# Bitline terminations of a row read, and array geometries to read them on.
+TERMINATIONS = {"clamped": None, "floating": FLOATING, "load": ResistiveLoad(1e4, 0.1)}
+GEOMETRIES = {
+    "wired": dict(rows=7, cols=6),
+    "ideal-wires": dict(rows=7, cols=6, r_wire=0.0),
+    "double-sided": dict(rows=7, cols=6, double_sided_clamps=True),
+    "r-driver": dict(rows=7, cols=6, r_driver=25.0),
+    "1xN": dict(rows=1, cols=9),
+    "Mx1": dict(rows=9, cols=1),
+}
 
 
 def _count_solved_columns(session: ConventionalSession | RowReadSession) -> list[int]:
@@ -324,9 +335,9 @@ class TestVoltageSchemes:
         cells = CellGrid.sample(4, 4, LIN, NOVAR)
         pattern = np.zeros((4, 4), np.int8)
         pattern[1] = [LRS, HRS, LRS, HRS]
-        res = read_row_floating(spec, cells, pattern, 1)
-        assert res.unit == "V"
-        lrs_v, hrs_v = split_by_state(res.sensed, res.true_bits)
+        session = RowReadSession(spec, cells, pattern, bitlines=FLOATING)
+        assert session.unit == "V"
+        lrs_v, hrs_v = split_by_state(session.row_currents([1])[0], pattern[1])
         assert lrs_v.min() > hrs_v.max()
 
     def test_resistive_small_r_s_recovers_clamp_current(self):
@@ -336,12 +347,19 @@ class TestVoltageSchemes:
         cells = CellGrid.sample(4, 4, LIN, VariationSpec(0.1, 9))
         pattern = random_pattern(4, 4, np.random.default_rng(9))
         r_s = 1e-3
-        res = read_row_resistive(spec, cells, pattern, 2, r_s=r_s)
+        sensed = RowReadSession(spec, cells, pattern, bitlines=ResistiveLoad(r_s)).row_currents([2])[0]
         wordlines = tuple(Drive(spec.v_dd) if r == 2 else Clamp(spec.v_b) for r in range(4))
         clamp_bias = BiasConfig.from_terms(wordlines, tuple(Clamp(0.0) for _ in range(4)))
         net = build_network(spec, pattern, cells, clamp_bias)
         want = bitline_currents(net, solve(net))
-        assert np.abs(res.sensed / r_s / want - 1).max() < 1e-3
+        assert np.abs(sensed / r_s / want - 1).max() < 1e-3
+
+    def test_voltage_session_has_no_current_result(self):
+        spec = CrossbarSpec(rows=3, cols=3)
+        cells = CellGrid.sample(3, 3, LIN, NOVAR)
+        session = RowReadSession(spec, cells, np.ones((3, 3), np.int8), bitlines=FLOATING)
+        with pytest.raises(TypeError, match="senses bitline voltages"):
+            session.read_row_result(0)
 
 
 class TestBestThresholdBer:
@@ -400,16 +418,36 @@ class TestReadResult:
 
 
 class TestRowReadSession:
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    @pytest.mark.parametrize("term", TERMINATIONS)
     @pytest.mark.parametrize("base", [LIN, NON])
-    def test_session_matches_one_shot_read(self, base):
-        spec = CrossbarSpec(rows=7, cols=6, r_wire=10.0)
-        pattern = random_pattern(7, 6, np.random.default_rng(17))
-        cells = CellGrid.sample(7, 6, base, VariationSpec(0.1, 17))
-        session = RowReadSession(spec, cells, pattern)
-        got = session.row_currents(range(7))
-        for i in (0, 3, 6):
-            want = read_row(spec, cells, pattern, i).sensed
-            assert np.abs(got[i] - want).max() < 1e-11
+    def test_session_matches_one_shot_read(self, base, term, geometry):
+        # Linear rows match the direct solve of each row's network; sinh rows
+        # of floating or loaded bitlines are that network's Newton solve, and
+        # clamped sinh rows iterate to the KCL bound.
+        spec = CrossbarSpec(**GEOMETRIES[geometry])
+        m, n = spec.rows, spec.cols
+        pattern = random_pattern(m, n, np.random.default_rng(17))
+        cells = CellGrid.sample(m, n, base, VariationSpec(0.1, 17))
+        bitlines = TERMINATIONS[term]
+        session = RowReadSession(spec, cells, pattern, bitlines=bitlines)
+        V = session.solve_rows(range(m))
+        got = session.row_currents(range(m))
+        for i in range(m):
+            net = build_network(spec, pattern, cells, row_read_bias(spec, i, bitlines=bitlines))
+            want_v = solve(net).node_voltages
+            if cells.is_linear:
+                assert np.abs(V[:, i] - want_v).max() <= 1e-12
+            elif bitlines is not None:
+                assert np.array_equal(V[:, i], want_v)
+            if bitlines is None:
+                want = read_row(spec, cells, pattern, i).sensed
+                assert np.abs(got[i] - want).max() < 1e-11
+            else:
+                to = bitlines.to if isinstance(bitlines, ResistiveLoad) else 0.0
+                want = want_v[net.bl_nodes[m - 1]] - to
+                assert session.unit == "V"
+                assert np.abs(got[i] - want).max() <= 1e-12
 
     @pytest.mark.parametrize("base", [LIN, NON])
     def test_row_map_solves_in_panels(self, base):
@@ -497,15 +535,24 @@ class TestRowReadSession:
         assert np.abs(leaving).max() <= solver.KCL_TOL
 
     def test_chord_fallback_keeps_the_bias_override(self, monkeypatch):
-        # With no chord pass allowed every row falls back to an exact
-        # Newton solve, which must use the overriding hold voltage.
+        # With no chord pass allowed every clamped row falls back to an
+        # exact Newton solve, the one every floating or loaded sinh row
+        # takes; each must use the session's bitlines and the overriding
+        # hold voltage.
         spec = CrossbarSpec(rows=8, cols=8, r_wire=10.0)
         pattern = random_pattern(8, 8, np.random.default_rng(31))
         cells = CellGrid.sample(8, 8, NON, VariationSpec(0.1, 31))
-        session = RowReadSession(spec, cells, pattern)
         monkeypatch.setattr(readout, "_CHORD_MAX_ITERS", 0)
-        got = session.bitline_currents_from(session.solve_rows([0, 5], v_b=0.5))
         spec_b = dataclasses.replace(spec, v_b=0.5)
-        for k, i in enumerate((0, 5)):
-            want = read_row(spec_b, cells, pattern, i).sensed
-            assert np.abs(got[k] - want).max() <= 1e-12 * np.abs(want).max()
+        for bitlines in TERMINATIONS.values():
+            session = RowReadSession(spec, cells, pattern, bitlines=bitlines)
+            V = session.solve_rows([0, 5], v_b=0.5)
+            got = session.bitline_currents_from(V)
+            for k, i in enumerate((0, 5)):
+                if bitlines is None:
+                    want = read_row(spec_b, cells, pattern, i).sensed
+                    assert np.abs(got[k] - want).max() <= 1e-12 * np.abs(want).max()
+                else:
+                    bias = row_read_bias(spec_b, i, bitlines=bitlines)
+                    net = build_network(spec_b, pattern, cells, bias)
+                    assert np.array_equal(V[:, k], solve(net).node_voltages)
