@@ -30,7 +30,6 @@ from .devices import (  # noqa: F401
 from .oracle import dense_reference_solve  # noqa: F401
 from .readout import (  # noqa: F401
     ConventionalSession,
-    ReadResult,
     RowReadSession,
     best_threshold_ber,
     midpoint_threshold,

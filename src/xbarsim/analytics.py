@@ -110,19 +110,16 @@ class TechniqueRow:
     matches_published: bool  # recomputed within 1% of published
 
 
-def technique_fom_table(
-    n: int = 512,
-    r_banks: int = 1,
-    this_work_power_per_bank: float = 1.358e-3,
-    cell_area_um2: float = DEFAULT_CELL_AREA_UM2,
-) -> list[TechniqueRow]:
-    """Recompute the published read-technique comparison for an N x N array.
+def technique_fom_table(r_banks: int = 1) -> list[TechniqueRow]:
+    """Recompute the published read-technique comparison for the 512 x 512
+    array at the default cell area.
 
     The descriptors (throughput, usage, power) are frozen published
     values; only the figure-of-merit column is recomputed.  The row-read
-    power scales with the bank count and is a configured constant, not a
-    derived one.
+    power, 1.358 mW per bank, scales with the bank count and is a published
+    constant, not a derived one.
     """
+    n = 512
     if r_banks < 1 or n % r_banks:
         raise ValueError(f"bank count {r_banks} must divide the word width {n}")
     cells = n * n
@@ -132,13 +129,11 @@ def technique_fom_table(
         ("Grounded rows & cols", "VG + Comp", False, 1.0, 1.0, 4e-3, 0.4194),
         ("Predefined dummy bits", "VG + Comp", True, 1.0, (n - 1) / n, 0.291e-3, 5.754),
         ("Row readout (this work)", "VG + Comp", False, n / r_banks, 1.0,
-         this_work_power_per_bank * r_banks, 633.0 / r_banks**2),
+         1.358e-3 * r_banks, 633.0 / r_banks**2),
     ]
     out = []
     for name, circuit, locality, tput, usage, power, published in rows:
-        if power <= 0:
-            raise ValueError(f"technique {name!r} has nonpositive power")
-        value = fom(FomInputs(tput, usage, power, cells, cell_area_um2))
+        value = fom(FomInputs(tput, usage, power, cells))
         out.append(
             TechniqueRow(
                 name=name,

@@ -13,7 +13,7 @@ from . import experiments
 from .analytics import render_fom_table, technique_fom_table
 from .config import ConfigError, RunConfig, config_echo, parse_config
 from .io import default_output_dir, write_csv, write_summary_json
-from .readout import RowReadSession
+from .readout import RowReadSession, classify, midpoint_threshold
 from .selftest import run_selftest
 
 
@@ -37,11 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("fom-table", help="recompute the read-technique comparison")
     sp.add_argument("--banks", type=int, default=1)
-    sp.add_argument("--word", type=int, default=512, help="array width N")
-    sp.add_argument("--cell-area", type=float, default=None,
-                    help="cell area in um^2 (default: from 640 Gbit/cm^2)")
-    sp.add_argument("--row-read-power", type=float, default=None,
-                    help="single-bank row-read power in W (default 1.358e-3)")
 
     sub.add_parser("mismatch", help="bias-mismatch column-width limits")
     sub.add_parser("compare-schemes", help="error rate of each scheme vs array size")
@@ -54,31 +49,28 @@ def _cmd_read_row(cfg: RunConfig, out_dir, row: int) -> dict:
     pattern, cells, _ = experiments.sample_trial(
         cfg, 0, spec.rows, spec.cols, cfg.device.base_params()
     )
-    session = RowReadSession(spec, cells, pattern)
-    result = session.read_row_result(row)
+    currents = RowReadSession(spec, cells, pattern).row_currents([row])[0]
+    threshold = midpoint_threshold(spec, cells.base)
+    read_bits = classify(currents, threshold)
     base = default_output_dir(out_dir if out_dir is not None else cfg.output_dir)
     csv_path = base / f"read-row-{cfg.experiment.master_seed}.csv"
-    write_csv(csv_path, ["row", "col", "true_bit", "current_A", "read_bit"], result.csv_rows())
+    write_csv(csv_path, ["row", "col", "true_bit", "current_A", "read_bit"],
+              zip([row] * spec.cols, range(spec.cols), pattern[row].tolist(),
+                  currents.tolist(), read_bits.tolist()))
     summary = {
         "experiment": "read-row",
         "row": row,
         "seed": cfg.experiment.master_seed,
-        "threshold_A": result.threshold,
-        "errors": result.n_errors,
+        "threshold_A": threshold,
+        "errors": int((read_bits != pattern[row]).sum()),
         "config": config_echo(cfg),
     }
     write_summary_json(csv_path.with_suffix(".json"), summary)
     return summary
 
 
-def _cmd_fom_table(cfg: RunConfig, out_dir, banks: int, word: int,
-                   cell_area: float | None, row_read_power: float | None) -> dict:
-    kwargs = {}
-    if cell_area is not None:
-        kwargs["cell_area_um2"] = cell_area
-    if row_read_power is not None:
-        kwargs["this_work_power_per_bank"] = row_read_power
-    rows = technique_fom_table(n=word, r_banks=banks, **kwargs)
+def _cmd_fom_table(cfg: RunConfig, out_dir, banks: int) -> dict:
+    rows = technique_fom_table(r_banks=banks)
     print(render_fom_table(rows))
     base = default_output_dir(out_dir if out_dir is not None else cfg.output_dir)
     csv_path = base / f"fom-table-{banks}.csv"
@@ -125,8 +117,7 @@ def main(argv=None) -> int:
             summary = experiments.run_power_sweep(cfg, args.out)
             print(f"power-sweep: checks {summary['checks']}")
         elif args.command == "fom-table":
-            summary = _cmd_fom_table(cfg, args.out, args.banks, args.word,
-                                     args.cell_area, args.row_read_power)
+            summary = _cmd_fom_table(cfg, args.out, args.banks)
             print("fom-table:", "all rows MATCH" if summary["all_match"] else "MISMATCH present")
         elif args.command == "mismatch":
             summary = experiments.run_mismatch_sweep(cfg, args.out)

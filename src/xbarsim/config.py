@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
+import typing
 from dataclasses import InitVar, dataclass, field, fields
 
 import yaml
@@ -190,34 +191,28 @@ class RunConfig:
         return self
 
 
-_INT_FIELDS = {"rows", "cols", "master_seed", "trials", "workers",
-               "sample_cells", "backgrounds", "power_rows", "scheme_rows", "map_bins"}
-_STR_FIELDS = {"model", "output_dir"}
-_BOOL_FIELDS = {"double_sided_clamps"}
-_TUPLE_FIELDS = {"sizes", "v_b_list", "delta_v_grid", "scheme_sizes"}
-
-
-def _coerce(name: str, value, where: str):
-    if name in _STR_FIELDS:
+def _coerce(tp, value, where: str):
+    """``value`` as ``tp``, the annotated type of its field: ``str``,
+    ``bool``, ``int``, ``float``, or a tuple of one of them, whose items are
+    coerced as that type."""
+    if tp is str:
         if value is not None and not isinstance(value, str):
             raise ConfigError(where, f"expected string, got {value!r}")
         return value
-    if name in _BOOL_FIELDS:
+    if tp is bool:
         if not isinstance(value, bool):
             raise ConfigError(where, f"expected true/false, got {value!r}")
         return value
-    if name in _TUPLE_FIELDS:
+    if typing.get_origin(tp) is tuple:
         if isinstance(value, str):
             value = [v for v in re.split(r"[,\s]+", value.strip()) if v]
         if not isinstance(value, (list, tuple)):
             raise ConfigError(where, f"expected a list, got {value!r}")
-        items = [parse_quantity(v, f"{where}[{k}]") for k, v in enumerate(value)]
-        if name in ("sizes", "scheme_sizes"):
-            return tuple(int(v) for v in items)
-        return tuple(items)
+        item = typing.get_args(tp)[0]
+        return tuple(_coerce(item, v, f"{where}[{k}]") for k, v in enumerate(value))
     num = parse_quantity(value, where)
-    if name in _INT_FIELDS:
-        if num != int(num):
+    if tp is int:
+        if not num.is_integer():
             raise ConfigError(where, f"expected an integer, got {value!r}")
         return int(num)
     return num
@@ -228,7 +223,8 @@ def _build_section(cls, data: dict, where: str):
     unknown = set(data) - known
     if unknown:
         raise ConfigError(where, f"unknown key(s) {sorted(unknown)}; known: {sorted(known)}")
-    kwargs = {k: _coerce(k, v, f"{where}.{k}") for k, v in data.items()}
+    types = typing.get_type_hints(cls)
+    kwargs = {k: _coerce(types[k], v, f"{where}.{k}") for k, v in data.items()}
     try:
         return cls(**kwargs)
     except (ValueError, TypeError) as e:
@@ -299,20 +295,12 @@ def parse_config(path=None, overrides=()) -> RunConfig:
     return RunConfig(output_dir=out_dir, **kwargs).validate()
 
 
-def emit_config(cfg: RunConfig) -> str:
-    """Serialize a RunConfig to YAML (base SI values; round-trips through
-    parse_config to an equal RunConfig)."""
-    tree = {}
-    for name in _SECTIONS:
-        section = dataclasses.asdict(getattr(cfg, name))
-        tree[name] = {
-            k: (list(v) if isinstance(v, tuple) else v) for k, v in section.items()
-        }
-    if cfg.output_dir is not None:
-        tree["output_dir"] = cfg.output_dir
-    return yaml.safe_dump(tree, sort_keys=True)
-
-
 def config_echo(cfg: RunConfig) -> dict:
-    """JSON-ready nested dict of the configuration for result summaries."""
-    return yaml.safe_load(emit_config(cfg))
+    """JSON-ready nested dict of the configuration for result summaries
+    (base SI values, lists for tuples, as JSON reads them back);
+    ``yaml.safe_dump`` of it parses back to ``cfg``."""
+    echo = dataclasses.asdict(cfg, dict_factory=lambda items: {
+        k: list(v) if isinstance(v, tuple) else v for k, v in items})
+    if echo["output_dir"] is None:
+        del echo["output_dir"]
+    return echo

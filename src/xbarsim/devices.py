@@ -116,11 +116,10 @@ class CellGrid:
     after construction.
     """
 
-    def __init__(self, base: DeviceParams, var: VariationSpec, on_values: np.ndarray, off_values: np.ndarray):
+    def __init__(self, base: DeviceParams, on_values: np.ndarray, off_values: np.ndarray):
         if on_values.shape != off_values.shape or on_values.ndim != 2:
             raise ValueError("on/off parameter grids must share one 2-D shape")
         self.base = base
-        self.var = var
         self._on = on_values
         self._off = off_values
         for arr in (self._on, self._off):
@@ -132,9 +131,9 @@ class CellGrid:
         f_on = variation_factor(var, ii, jj, draw=0)
         f_off = variation_factor(var, ii, jj, draw=1)
         if isinstance(base, LinearDeviceParams):
-            return cls(base, var, base.lrs_ohms * f_on, base.hrs_ohms * f_off)
+            return cls(base, base.lrs_ohms * f_on, base.hrs_ohms * f_off)
         if isinstance(base, NonlinearDeviceParams):
-            return cls(base, var, base.k_on * f_on, base.k_off * f_off)
+            return cls(base, base.k_on * f_on, base.k_off * f_off)
         raise TypeError(f"unsupported device parameters: {type(base).__name__}")
 
     @property

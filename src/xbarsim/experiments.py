@@ -14,7 +14,6 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -84,27 +83,6 @@ def sample_trial(cfg: RunConfig, stream: int, rows: int, cols: int,
     return pattern, CellGrid.sample(rows, cols, base, var), rng
 
 
-@dataclass(frozen=True)
-class Histogram:
-    """Binned counts of one population."""
-
-    edges: np.ndarray
-    counts: np.ndarray
-    tag: str
-
-    def __post_init__(self):
-        if not np.all(np.diff(self.edges) > 0):
-            raise ValueError("histogram edges must be strictly increasing")
-        if self.counts.size != self.edges.size - 1:
-            raise ValueError("counts must have one entry per bin")
-
-    @classmethod
-    def from_values(cls, values: np.ndarray, n_bins: int, tag: str) -> "Histogram":
-        values = np.asarray(values, dtype=float)
-        counts, edges = np.histogram(values, bins=n_bins)
-        return cls(edges=edges, counts=counts, tag=tag)
-
-
 def _map_units(fn, units, workers: int) -> list:
     """Order-preserving map over independent trial units."""
     units = list(units)
@@ -130,11 +108,13 @@ def _out_paths(cfg: RunConfig, out_dir, name: str) -> tuple[Path, Path]:
 def _conventional_reads(spec: CrossbarSpec, cells: CellGrid, pattern, rng,
                         take: int) -> tuple[list[tuple[int, int]], np.ndarray]:
     """Draw up to ``take`` distinct cells and read each with the conventional
-    single-cell scheme: one ``ConventionalSession`` for linear devices, one
-    Newton solve per cell for sinh devices."""
+    single-cell scheme: one ``ConventionalSession`` for linear devices with
+    a single-ended drive, else one ``read_cell_conventional`` solve per
+    cell (a Newton solve for sinh devices, a factor per cell for
+    double-sided linear arrays)."""
     flat = rng.choice(spec.rows * spec.cols, size=min(take, spec.rows * spec.cols), replace=False)
     targets = [(int(k) // spec.cols, int(k) % spec.cols) for k in flat]
-    if cells.is_linear:
+    if cells.is_linear and not spec.double_sided_clamps:
         return targets, ConventionalSession(spec, cells, pattern).currents(targets)
     return targets, np.array([
         readout.read_cell_conventional(spec, cells, pattern, i, j) for i, j in targets
@@ -231,10 +211,10 @@ def run_row_read_map(cfg: RunConfig, out_dir=None) -> dict:
     for tag, vals in (("LRS", lrs), ("HRS", hrs)):
         if vals.size == 0:
             continue
-        h = Histogram.from_values(vals, exp.map_bins, tag)
+        counts, edges = np.histogram(vals, bins=exp.map_bins)
         hist_rows.extend(
-            (tag, float(h.edges[k]), float(h.edges[k + 1]), int(h.counts[k]))
-            for k in range(h.counts.size)
+            (tag, float(edges[k]), float(edges[k + 1]), int(counts[k]))
+            for k in range(counts.size)
         )
     write_csv(csv_path.with_name(csv_path.stem + "-hist.csv"),
               ["state", "bin_lo_A", "bin_hi_A", "count"], hist_rows)

@@ -1,7 +1,9 @@
 """Read schemes: one-cycle row readout plus the baseline reads it is
 compared against (the conventional single-cell read with unselected lines
 floating, and floating-bitline and resistive-load row reads), with
-threshold classification and error statistics.
+threshold classification and error statistics.  Every read returns its
+sensed values as an array; callers classify them with ``classify`` against
+``midpoint_threshold`` or score them with ``best_threshold_ber``.
 
 Two session classes reuse a single sparse factorization across many reads
 of the same sampled array.  ``RowReadSession`` serves every row read, with
@@ -19,7 +21,6 @@ first is the reference that row sessions are checked against.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -71,27 +72,6 @@ class SchemeKind(Enum):
     RESISTIVE_LOAD = "resistive-load"
 
 
-@dataclass(frozen=True)
-class ReadResult:
-    """Sensed bitline currents of one row read, classified against a threshold."""
-
-    row: int
-    sensed: np.ndarray
-    threshold: float
-    classified_bits: np.ndarray
-    true_bits: np.ndarray
-
-    @property
-    def n_errors(self) -> int:
-        return int((self.classified_bits != self.true_bits).sum())
-
-    def csv_rows(self):
-        """Rows of (row, col, true_bit, sensed value, read_bit)."""
-        for col in range(self.sensed.size):
-            yield (self.row, col, int(self.true_bits[col]),
-                   float(self.sensed[col]), int(self.classified_bits[col]))
-
-
 def midpoint_threshold(spec: CrossbarSpec, base: DeviceParams) -> float:
     """Geometric mean of the ideal LRS and HRS read currents at v_dd - v_b.
 
@@ -137,35 +117,18 @@ def split_by_state(values: np.ndarray, true_bits: np.ndarray) -> tuple[np.ndarra
     return values[true_bits == LRS], values[true_bits != LRS]
 
 
-def _make_result(row, sensed, threshold, true_bits) -> ReadResult:
-    sensed = np.asarray(sensed, dtype=float)
-    return ReadResult(
-        row=row,
-        sensed=sensed,
-        threshold=float(threshold),
-        classified_bits=classify(sensed, threshold),
-        true_bits=np.asarray(true_bits, dtype=np.int8),
-    )
-
-
 def read_row(
     spec: CrossbarSpec,
     cells: CellGrid,
     pattern: np.ndarray,
     i: int,
     mismatch: BiasMismatch | None = None,
-    threshold: float | None = None,
-) -> ReadResult:
-    """One-cycle row read: solve the biased network once and collect all N
-    bitline currents.  The bias does not depend on the bank (per-line
-    mismatch offsets apply to every clamp of the affected line), so one
-    solve serves every bank."""
+) -> np.ndarray:
+    """One-cycle row read: solve the biased network once and return all N
+    bitline currents."""
     pattern = check_pattern(spec, pattern)
-    if threshold is None:
-        threshold = midpoint_threshold(spec, cells.base)
     net = build_network(spec, pattern, cells, row_read_bias(spec, i, mismatch))
-    currents = bitline_currents(net, solve(net))
-    return _make_result(i, currents, threshold, pattern[i])
+    return bitline_currents(net, solve(net))
 
 
 def read_cell_conventional(
@@ -336,17 +299,6 @@ class RowReadSession:
         """Sensed value of every cell: row i of the map is the row-i read."""
         return self.row_currents(range(self.spec.rows))
 
-    def read_row_result(self, i: int, threshold: float | None = None) -> ReadResult:
-        """Row i's currents classified against ``threshold`` (by default
-        ``midpoint_threshold``); a voltage-sensing session has none."""
-        if self.bitlines is not None:
-            raise TypeError("read_row_result classifies sensed currents, "
-                            "and this session senses bitline voltages")
-        if threshold is None:
-            threshold = midpoint_threshold(self.spec, self.cells.base)
-        currents = self.row_currents([i])[0]
-        return _make_result(i, currents, threshold, self.pattern[i])
-
 
 class ConventionalSession:
     """Batched single-cell conventional reads on one sampled linear array,
@@ -440,9 +392,6 @@ class ConventionalSession:
                 residual=float(bound[worst]), iterations=1,
             )
         return out
-
-    def current(self, i: int, j: int) -> float:
-        return float(self.currents([(i, j)])[0])
 
     def _pair_resistances(self, B, n_a):
         """Terms of the effective resistance of w = e_a - e_b over the

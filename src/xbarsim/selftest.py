@@ -41,9 +41,9 @@ def sneak_path_elimination() -> tuple[bool, str]:
         pattern = random_pattern(32, 32, rng)
         cells = CellGrid.sample(32, 32, base, VariationSpec(0.10, trial))
         i = int(rng.integers(32))
-        res = read_row(spec, cells, pattern, i)
+        got = read_row(spec, cells, pattern, i)
         want = cells.currents(cells.active_params(pattern), spec.v_dd - spec.v_b)[i]
-        worst = max(worst, float(np.abs(res.sensed - want).max()))
+        worst = max(worst, float(np.abs(got - want).max()))
     return worst < 1e-12, f"max |column - isolated device| = {worst:.2e} A over 100 patterns"
 
 

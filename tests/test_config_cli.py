@@ -6,18 +6,20 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 import xbarsim
+from xbarsim import experiments
 from xbarsim.cli import main
 from xbarsim.config import (
     ConfigError,
     RunConfig,
     config_echo,
-    emit_config,
     parse_config,
     parse_quantity,
 )
 from xbarsim.io import fmt_value, write_csv
+from xbarsim.readout import read_cell_conventional
 
 
 class TestQuantities:
@@ -117,11 +119,24 @@ class TestParseConfig:
         cfg = parse_config(overrides=["crossbar.rows=32", "crossbar.cols=64",
                                       "device.model=nonlinear",
                                       "experiment.sizes=8,16"])
-        text = emit_config(cfg)
+        text = yaml.safe_dump(config_echo(cfg))
         path = tmp_path / "echo.yaml"
         path.write_text(text)
         assert parse_config(path) == cfg
-        assert emit_config(parse_config(path)) == text
+        assert yaml.safe_dump(config_echo(parse_config(path))) == text
+
+    @pytest.mark.parametrize("override,where", [
+        ("experiment.sizes=[16.7]", "experiment.sizes[0]"),
+        ("experiment.scheme_sizes=[8.9]", "experiment.scheme_sizes[0]"),
+        ("experiment.sizes=[16, 32.5]", "experiment.sizes[1]"),
+    ])
+    def test_list_items_take_the_field_type(self, override, where):
+        # a size of 16.7 is rejected, as crossbar.rows=16.7 is, not truncated
+        with pytest.raises(ConfigError, match="expected an integer") as e:
+            parse_config(overrides=[override])
+        assert e.value.where == where
+        sizes = parse_config(overrides=["experiment.sizes=[16.0, 32]"]).experiment.sizes
+        assert sizes == (16, 32) and all(type(n) is int for n in sizes)
 
     def test_config_echo_is_json_ready(self):
         echo = config_echo(RunConfig())
@@ -236,6 +251,29 @@ class TestCli:
         for a, b in zip(single, mapped):
             assert (a["col"], a["true_bit"], a["read_bit"]) == (b["col"], b["true_bit"], b["read_bit"])
             assert abs(float(a["current_A"]) - float(b["current_A"])) <= 1e-15
+
+    def test_double_sided_linear_conventional_reads(self, tmp_path, capsys):
+        # Double-sided linear arrays read each cell with read_cell_conventional,
+        # as sinh arrays do: ConventionalSession assumes a single-ended drive.
+        small = ["crossbar.rows=8", "crossbar.cols=8", "crossbar.double_sided_clamps=true",
+                 "experiment.sample_cells=16", "experiment.backgrounds=2",
+                 "experiment.scheme_sizes=[8]"]
+        args = [a for kv in small for a in ("--set", kv)]
+        assert run_cli([*args, "cdf"], tmp_path) == 0
+        assert run_cli([*args, "compare-schemes"], tmp_path) == 0
+        with open(tmp_path / "scheme-compare-1.csv", newline="") as f:
+            conventional = [r for r in csv.DictReader(f) if r["scheme"] == "conventional"]
+        assert [(r["samples"], r["note"]) for r in conventional] == [("16", "")]
+        cfg = parse_config(overrides=small)
+        spec, base = cfg.crossbar.to_spec(), cfg.device.base_params()
+        with open(tmp_path / "cdf-conventional-1.csv", newline="") as f:
+            reads = list(csv.DictReader(f))
+        assert len(reads) == 16
+        for t in (0, 1):
+            pattern, cells, _ = experiments.sample_trial(cfg, t, 8, 8, base)
+            for r in (r for r in reads if r["trial"] == str(t)):
+                want = read_cell_conventional(spec, cells, pattern, int(r["row"]), int(r["col"]))
+                assert r["current_A"] == fmt_value(want)
 
     def test_mismatch_command(self, tmp_path, capsys):
         code = run_cli(

@@ -13,7 +13,6 @@ import xbarsim
 from xbarsim import experiments
 from xbarsim.config import CrossbarConfig, ExperimentConfig, RunConfig, VariationConfig
 from xbarsim.experiments import (
-    Histogram,
     run_cdf_conventional,
     run_mismatch_sweep,
     run_power_sweep,
@@ -67,18 +66,6 @@ class TestSeededStreams:
         b = seeded_trial_stream(1, 1).random(4000)
         corr = np.corrcoef(a, b)[0, 1]
         assert abs(corr) < 0.08
-
-
-class TestHistogram:
-    def test_counts_conserved_and_edges_increase(self):
-        values = np.random.default_rng(0).normal(size=500)
-        h = Histogram.from_values(values, 32, "LRS")
-        assert h.counts.sum() == 500
-        assert (np.diff(h.edges) > 0).all()
-
-    def test_bad_edges_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram(edges=np.array([0.0, 0.0, 1.0]), counts=np.array([1, 2]), tag="x")
 
 
 class TestCdfConventional:
