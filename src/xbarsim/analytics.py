@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crossbar import BiasMismatch, CrossbarSpec, Network, build_network, row_read_bias
+from .crossbar import BiasMismatch, CrossbarSpec, build_network, row_read_bias
 from .devices import (
     HRS,
     LRS,
@@ -19,26 +19,13 @@ from .devices import (
     VariationSpec,
     ideal_state_currents,
 )
-from .solver import Solution, bitline_currents, solve
+from .solver import bitline_currents, solve
 
 # Cell area implied by an areal density of 640 Gbit/cm^2.
 DEFAULT_CELL_AREA_UM2 = 1.0 / 6400.0  # um^2 per bit
 
 
 # Power -------------------------------------------------------------------------
-
-def approx_read_power(delta_v: float, on_off_values: np.ndarray, a: float | None = None) -> float:
-    """Wire-free read power of a set of driven cells.
-
-    ``on_off_values`` holds per-cell resistances (ohmic model, ``a`` None)
-    or per-cell current scales k (sinh model, ``a`` given).  Empty input
-    gives zero.
-    """
-    vals = np.asarray(on_off_values, dtype=float)
-    if vals.size == 0:
-        return 0.0
-    return float(np.sum(_cell_read_power(delta_v, vals, a)))
-
 
 def _cell_read_power(delta_v: float, vals: np.ndarray, a: float | None) -> np.ndarray:
     """Per-cell wire-free read power: ohmic resistances (``a`` None) or sinh k."""
@@ -49,9 +36,9 @@ def power_row_approx(spec: CrossbarSpec, pattern: np.ndarray, cells: CellGrid, i
     """Read power of driving row i, ignoring wire resistance (realized cells)."""
     if not (0 <= i < spec.rows):
         raise IndexError(f"row {i} out of range")
-    delta = spec.v_dd - spec.v_b
     row_vals = np.where(pattern[i] == LRS, cells.on_values[i], cells.off_values[i])
-    return approx_read_power(delta, row_vals, None if cells.is_linear else cells.base.a)
+    a = None if cells.is_linear else cells.base.a
+    return float(np.sum(_cell_read_power(spec.v_dd - spec.v_b, row_vals, a)))
 
 
 def power_rows_approx(spec: CrossbarSpec, pattern: np.ndarray, cells: CellGrid) -> np.ndarray:
@@ -59,14 +46,6 @@ def power_rows_approx(spec: CrossbarSpec, pattern: np.ndarray, cells: CellGrid) 
     vals = cells.active_params(pattern)
     a = None if cells.is_linear else cells.base.a
     return np.sum(_cell_read_power(spec.v_dd - spec.v_b, vals, a), axis=1)
-
-
-def power_exact(net: Network, sol: Solution) -> float:
-    """Total dissipation summed branch by branch (equals source injection)."""
-    v = sol.node_voltages
-    p_wire = float(np.sum((v[net.wire_a] - v[net.wire_b]) * sol.wire_currents))
-    p_dev = float(np.sum((v[net.dev_a] - v[net.dev_b]) * sol.device_currents))
-    return p_wire + p_dev
 
 
 # Figure of merit ----------------------------------------------------------------
@@ -256,7 +235,7 @@ def _simulated_unwanted(spec: CrossbarSpec, cells_base: DeviceParams, p: Mismatc
                 pattern = (rng.random((n, 1)) < 0.5).astype(np.int8)
                 pattern[0, 0] = target
             net = build_network(spec_n, pattern, cells, bias)
-            sensed = bitline_currents(net, solve(net))[0]
+            sensed = bitline_currents(net, solve(net).node_voltages)[0]
             excursions.append(abs(sensed - wanted))
         limit = p.i_max if target == LRS else p.i_min
         worst = max(worst, float(np.mean(excursions)) / limit)

@@ -12,7 +12,7 @@ from dataclasses import InitVar, dataclass, field, fields
 import yaml
 
 from .analytics import MismatchParams
-from .crossbar import CrossbarSpec
+from .crossbar import CrossbarSpec, ResistiveLoad
 from .devices import LinearDeviceParams, NonlinearDeviceParams, VariationSpec
 
 
@@ -185,9 +185,25 @@ class RunConfig:
         except (ValueError, TypeError) as e:
             raise ConfigError("device", str(e)) from e
         # The power sweep skips hold voltages at or above v_dd.
-        if min(self.experiment.v_b_list) >= self.crossbar.v_dd:
-            raise ConfigError("experiment", f"v_b_list {list(self.experiment.v_b_list)} has no "
-                              f"value below crossbar.v_dd ({self.crossbar.v_dd} V)")
+        exp, spec = self.experiment, self.crossbar.to_spec()
+        if min(exp.v_b_list) >= spec.v_dd:
+            raise ConfigError("experiment", f"v_b_list {list(exp.v_b_list)} has no "
+                              f"value below crossbar.v_dd ({spec.v_dd} V)")
+        # Build what each campaign builds from these values, so that a bad
+        # one fails here and not part-way through a run.
+        for name, build, values in (
+            ("v_b_list", lambda v_b: dataclasses.replace(spec, v_b=v_b),
+             [v_b for v_b in exp.v_b_list if not v_b >= spec.v_dd]),  # keeps NaN, to reject it
+            ("delta_v_grid",
+             lambda dv: MismatchParams(dv, self.mismatch.i_max, self.mismatch.i_min),
+             exp.delta_v_grid),
+            ("r_s", ResistiveLoad, [exp.r_s]),
+        ):
+            for value in values:
+                try:
+                    build(value)
+                except (ValueError, TypeError) as e:
+                    raise ConfigError("experiment", f"{name} value {value}: {e}") from e
         return self
 
 

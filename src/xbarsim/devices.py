@@ -159,11 +159,6 @@ class CellGrid:
         (nonlinear).  ``currents`` and ``conductances`` take this grid."""
         return np.where(pattern == LRS, self._on, self._off)
 
-    def active_conductances(self, pattern: np.ndarray) -> np.ndarray:
-        """Per-cell small-signal conductance for the stored states at zero bias."""
-        p = self.active_params(pattern)
-        return 1.0 / p if self.is_linear else p * self.base.a
-
     def currents(self, params: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Per-cell current at per-cell voltages v, given ``active_params``: v
         broadcastable to the grid, or the grid's shape plus a trailing axis

@@ -30,7 +30,7 @@ from .readout import (
     best_threshold_ber,
     split_by_state,
 )
-from .solver import SolverConvergenceError
+from .solver import SolverConvergenceError, branch_power
 
 # mallopt parameter numbers from glibc's <malloc.h>
 _M_TRIM_THRESHOLD = -1
@@ -186,7 +186,7 @@ def run_row_read_map(cfg: RunConfig, out_dir=None) -> dict:
     base = cfg.device.base_params()
     pattern, cells, _ = sample_trial(cfg, 0, spec.rows, spec.cols, base)
     session = RowReadSession(spec, cells, pattern)
-    current_map = session.current_map()
+    current_map = session.row_currents(range(spec.rows))
     threshold = readout.midpoint_threshold(spec, base)
     read_bits = readout.classify(current_map, threshold)
     n_errors = int((read_bits != pattern).sum())
@@ -255,7 +255,7 @@ def run_power_sweep(cfg: RunConfig, out_dir=None) -> dict:
             # are V(v_b) = v_b + (v_dd - v_b) / v_dd * V(0): every branch
             # voltage scales with v_dd - v_b and every branch power with its
             # square, so one solve at v_b = 0 serves every hold voltage.
-            power_0 = session.branch_power_from(session.solve_rows(sample_rows, v_b=0.0))
+            power_0 = branch_power(session.net, session.solve_rows(sample_rows, v_b=0.0))
         out = []
         for v_b in exp.v_b_list:
             if not v_b < spec0.v_dd:
@@ -265,7 +265,7 @@ def run_power_sweep(cfg: RunConfig, out_dir=None) -> dict:
             if cells.is_linear:
                 exact = ((spec0.v_dd - v_b) / spec0.v_dd) ** 2 * power_0
             else:
-                exact = session.branch_power_from(session.solve_rows(sample_rows, v_b=v_b))
+                exact = branch_power(session.net, session.solve_rows(sample_rows, v_b=v_b))
             array_approx = sum(analytics.power_rows_approx(spec_vb, pattern, cells).tolist())
             for k, i in enumerate(sample_rows):
                 out.append((model, size, trial, float(v_b), i,

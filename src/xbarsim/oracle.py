@@ -4,7 +4,9 @@ Assembly is done with per-branch Python loops into a dense matrix,
 grounding is verified with a hand-rolled breadth-first search, and the
 factorization is LAPACK's pivoted elimination via numpy.  Nothing here is
 shared with the sparse implementation beyond the network description and
-the device equations themselves.
+the device equations themselves.  Like the sparse solvers it returns a
+``solver.Solution``: node voltages and the solve's diagnostics, from which
+``solver``'s functions read currents and power.
 """
 
 from __future__ import annotations
@@ -110,13 +112,6 @@ def _refine_dense(net: Network, v: np.ndarray, u: np.ndarray, Auu: np.ndarray) -
     return v
 
 
-def _finish(net: Network, v: np.ndarray, residual: float, iterations: int) -> Solution:
-    wire_i = net.wire_g * (v[net.wire_a] - v[net.wire_b])
-    dv = (v[net.dev_a] - v[net.dev_b]).reshape(net.spec.rows, net.spec.cols)
-    dev_i = net.cells.currents(net.active_params, dv).ravel()
-    return Solution(v, wire_i, dev_i, float(residual), iterations)
-
-
 def dense_reference_solve(net: Network) -> Solution:
     """Reference solve with dense pivoted elimination (both device models)."""
     if net.n_nodes > MAX_DENSE_NODES:
@@ -129,7 +124,7 @@ def dense_reference_solve(net: Network) -> Solution:
     v = np.where(net.fixed_mask, net.fixed_voltage, 0.0)
 
     if net.cells.is_linear:
-        G = _dense_admittance(net, net.cells.active_conductances(net.pattern))
+        G = _dense_admittance(net, net.cells.conductances(net.active_params, 0.0))
         if u.size:
             Guu = G[np.ix_(u, u)]
             rhs = -G[np.ix_(u, f)] @ net.fixed_voltage[f]
@@ -141,7 +136,7 @@ def dense_reference_solve(net: Network) -> Solution:
                 f"dense linear residual {residual:.3e} A above tolerance",
                 residual=residual, iterations=1,
             )
-        return _finish(net, v, residual, iterations=1)
+        return Solution(v, residual, iterations=1)
 
     # Full-matrix Newton for sinh devices.
     v[u] = float(np.median(net.fixed_voltage[f]))
@@ -153,7 +148,7 @@ def dense_reference_solve(net: Network) -> Solution:
             if Juu is not None:
                 v = _refine_dense(net, v, u, Juu)
                 res = float(np.abs(_branch_imbalance(net, v, extended=True)[u]).max())
-            return _finish(net, v, res, iterations)
+            return Solution(v, float(res), iterations)
         dv = (v[net.dev_a] - v[net.dev_b]).reshape(net.spec.rows, net.spec.cols)
         g_dev = net.cells.conductances(net.active_params, dv).ravel()
         J = _dense_admittance(net, g_dev)
@@ -176,7 +171,7 @@ def dense_reference_solve(net: Network) -> Solution:
             )
     res = float(np.abs(f_u).max()) if u.size else 0.0
     if res <= solver.KCL_TOL:
-        return _finish(net, v, res, solver.MAX_NEWTON_ITERS)
+        return Solution(v, res, solver.MAX_NEWTON_ITERS)
     raise SolverConvergenceError(
         f"dense Newton did not converge (final residual {res:.3e} A)",
         residual=res, iterations=solver.MAX_NEWTON_ITERS,

@@ -15,7 +15,9 @@ voltages on a frozen zero-bias Jacobian with true-residual verification.
 single-cell sweep, from which every cell's two-terminal effective
 resistance follows.  Both factor through ``solver.ReducedSystem``.
 ``read_row`` and ``read_cell_conventional`` solve one read afresh; the
-first is the reference that row sessions are checked against.
+first is the reference that row sessions are checked against.  One-shot
+reads and clamped sessions alike sense currents with
+``solver.bitline_currents`` of solved node voltages.
 """
 
 from __future__ import annotations
@@ -51,9 +53,6 @@ from .solver import (
     ReducedSystem,
     SolverConvergenceError,
     bitline_currents,
-    branch_currents_at,
-    branch_voltages,
-    node_imbalance,
     solve,
     solve_nonlinear,
 )
@@ -128,7 +127,7 @@ def read_row(
     bitline currents."""
     pattern = check_pattern(spec, pattern)
     net = build_network(spec, pattern, cells, row_read_bias(spec, i, mismatch))
-    return bitline_currents(net, solve(net))
+    return bitline_currents(net, solve(net).node_voltages)
 
 
 def read_cell_conventional(
@@ -142,8 +141,7 @@ def read_cell_conventional(
     selected wordline driven, the selected bitline grounded, and the other
     lines floating."""
     net = build_network(spec, pattern, cells, conventional_cell_bias(spec, i, j))
-    sol = solve(net)
-    return float(bitline_currents(net, sol, columns=[j])[0])
+    return float(bitline_currents(net, solve(net).node_voltages, columns=[j])[0])
 
 
 # Factorization-reuse sessions --------------------------------------------------
@@ -171,7 +169,7 @@ class RowReadSession:
     the current into its clamp (the one-cycle row readout, ``unit`` 'A');
     with ``FLOATING`` or a ``ResistiveLoad(r_s, to)`` it senses the voltage
     at its sense end, less ``to`` for a load (the voltage-sensing
-    baselines, ``unit`` 'V').  ``row_currents``, ``current_map`` and
+    baselines, ``unit`` 'V').  ``row_currents`` and
     ``bitline_currents_from`` return these sensed values.
 
     The fixed-node set of the bias does not depend on the selected row, so
@@ -210,8 +208,7 @@ class RowReadSession:
                                  row_read_bias(spec, 0, self.mismatch, bitlines))
         self.system = ReducedSystem(self.net)
         if cells.is_linear or bitlines is None:  # else no row uses the factor
-            self.system.factor(cells.active_conductances(self.pattern))
-        self._bl_ctrl = self.net.bl_attach.control_node
+            self.system.factor(cells.conductances(self.net.active_params, 0.0))
 
     def solve_rows(self, rows, v_b: float | None = None) -> np.ndarray:
         """Full node-voltage matrix (n_nodes x len(rows)), one column per row read.
@@ -278,13 +275,8 @@ class RowReadSession:
     def bitline_currents_from(self, V: np.ndarray) -> np.ndarray:
         """Per-column sensed values for each solved column of V (cols x N)."""
         if self.bitlines is None:
-            return -node_imbalance(self.net, V)[self._bl_ctrl].T
+            return bitline_currents(self.net, V).T
         return (V[self.net.bl_attach.attach_node] - self._v_ref).T
-
-    def branch_power_from(self, V: np.ndarray) -> np.ndarray:
-        """Total branch dissipation of each solved column of V (watts)."""
-        dv = branch_voltages(self.net, V)
-        return (dv * branch_currents_at(self.net, dv)).sum(axis=0)
 
     def row_currents(self, rows) -> np.ndarray:
         rows = list(rows)
@@ -294,10 +286,6 @@ class RowReadSession:
             V = self.solve_rows(chunk)
             out[s:s + len(chunk)] = self.bitline_currents_from(V)
         return out
-
-    def current_map(self) -> np.ndarray:
-        """Sensed value of every cell: row i of the map is the row-i read."""
-        return self.row_currents(range(self.spec.rows))
 
 
 class ConventionalSession:
@@ -340,7 +328,7 @@ class ConventionalSession:
         bias = BiasConfig(*line_arrays(spec.rows, FLOATING), bl_kind, bl_v, bl_r)
         self.net = build_network(dataclasses.replace(spec, r_driver=0.0), self.pattern, cells, bias)
         self.system = ReducedSystem(self.net)
-        self.system.factor(cells.active_conductances(self.pattern))
+        self.system.factor(cells.conductances(self.net.active_params, 0.0))
         # Unknown-vector positions of each wordline's driven end and each
         # bitline's sense end; -1 marks the ground.
         pos = np.full(self.net.n_nodes, -1)

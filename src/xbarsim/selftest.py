@@ -23,7 +23,15 @@ from .crossbar import (
 from .devices import CellGrid, LinearDeviceParams, NonlinearDeviceParams, VariationSpec
 from .oracle import dense_reference_solve
 from .readout import RowReadSession, midpoint_threshold, read_row
-from .solver import bitline_currents, branch_voltages, node_imbalance, solve, source_power
+from .solver import (
+    bitline_currents,
+    branch_currents_at,
+    branch_power,
+    branch_voltages,
+    node_imbalance,
+    solve,
+    source_power,
+)
 
 _LIN = LinearDeviceParams()
 _NON = NonlinearDeviceParams()
@@ -101,17 +109,16 @@ def oracle_equivalence() -> tuple[bool, str]:
         f"max voltage gap {worst_v:.2e} V, max Newton iterations {worst_iters} over 100 seeds")
 
 
-def power_balance(net, sol) -> tuple[float, float]:
-    """Tellegen check of one solve: branch dissipation minus source
-    injection minus the power of the unknown nodes' residual currents,
-    which is zero but for rounding, and the rounding bound of the branch
-    sum, n_branches * eps * sum |dv * i|."""
-    v = sol.node_voltages
+def power_balance(net, v) -> tuple[float, float]:
+    """Tellegen check of one solve at node voltages v: branch dissipation
+    minus source injection minus the power of the unknown nodes' residual
+    currents, which is zero but for rounding, and the rounding bound of the
+    branch sum, n_branches * eps * sum |dv * i|."""
     unknown = ~net.fixed_mask
     p_residual = float(np.dot(v[unknown], node_imbalance(net, v)[unknown]))
-    gap = abs(analytics.power_exact(net, sol) - source_power(net, sol) - p_residual)
+    gap = abs(branch_power(net, v) - source_power(net, v) - p_residual)
     dv = branch_voltages(net, v)
-    bound = dv.size * np.finfo(float).eps * float(np.abs(dv * sol.branch_currents).sum())
+    bound = dv.size * np.finfo(float).eps * float(np.abs(dv * branch_currents_at(net, dv)).sum())
     return gap, bound
 
 
@@ -137,10 +144,12 @@ def physics_invariants() -> tuple[bool, str]:
             problems.append("maximum principle violated")
         delta = 0.17
         shifted = dataclasses.replace(bias, wl_v=bias.wl_v + delta, bl_v=bias.bl_v + delta)
-        sol2 = solve(build_network(spec, pattern, cells, shifted))
-        if np.abs(sol.branch_currents - sol2.branch_currents).max() > 1e-12:
+        net2 = build_network(spec, pattern, cells, shifted)
+        i_branch = branch_currents_at(net, branch_voltages(net, v))
+        i_shifted = branch_currents_at(net2, branch_voltages(net2, solve(net2).node_voltages))
+        if np.abs(i_branch - i_shifted).max() > 1e-12:
             problems.append("translation invariance violated")
-        gap, bound = power_balance(net, sol)
+        gap, bound = power_balance(net, v)
         if gap > bound:
             problems.append("power conservation violated")
 
@@ -188,7 +197,8 @@ def row_session_consistency() -> tuple[bool, str]:
     gap = 0.0
     for i in (4, 17, 23):
         net = build_network(spec, pattern, cells, row_read_bias(spec, i, mism))
-        gap = max(gap, float(np.abs(got[i] - bitline_currents(net, solve(net))).max()))
+        want = bitline_currents(net, solve(net).node_voltages)
+        gap = max(gap, float(np.abs(got[i] - want).max()))
     ok = gap < 1e-11 and midpoint_threshold(spec, _NON) > 0
     return ok, f"session/direct gap {gap:.2e} A over rows 4, 17 and 23 of 24"
 

@@ -69,17 +69,13 @@ except (AttributeError, OSError, TypeError):
 
 @dataclass(frozen=True)
 class Solution:
-    """Solved node voltages and branch currents of one network."""
+    """Solved node voltages of one network, with the solve's diagnostics.
+    Currents and power are read from the voltages by ``bitline_currents``,
+    ``branch_currents_at``, ``branch_power`` and ``source_power``."""
 
     node_voltages: np.ndarray
-    wire_currents: np.ndarray  # aligned with Network.wire_* arrays
-    device_currents: np.ndarray  # cell-major, length M*N
     kcl_residual: float
     iterations: int
-
-    @property
-    def branch_currents(self) -> np.ndarray:
-        return np.concatenate([self.wire_currents, self.device_currents])
 
 
 def assemble_admittance(net: Network, device_g: np.ndarray) -> sp.csr_matrix:
@@ -362,20 +358,14 @@ class ReducedSystem:
         return V, residual
 
 
-def _finish(system: ReducedSystem, v: np.ndarray, residual: float, iterations: int) -> Solution:
-    i = branch_currents_at(system.net, branch_voltages(system.net, v))
-    nw = system.net.wire_a.size
-    return Solution(v, i[:nw], i[nw:], residual, iterations)
-
-
 def solve_linear(net: Network) -> Solution:
     """Direct sparse solve of a linear-device network."""
     if not net.cells.is_linear:
         raise TypeError("solve_linear requires linear device parameters")
     system = ReducedSystem(net)
-    system.factor(net.cells.active_conductances(net.pattern))
+    system.factor(net.cells.conductances(net.active_params, 0.0))
     v, residual = system.solve(np.where(net.fixed_mask, net.fixed_voltage, 0.0))
-    return _finish(system, v, residual, iterations=1)
+    return Solution(v, residual, iterations=1)
 
 
 def solve_nonlinear(net: Network) -> Solution:
@@ -424,7 +414,7 @@ def solve_nonlinear(net: Network) -> Solution:
                 residual=res, iterations=MAX_NEWTON_ITERS,
             )
     v, residual = system.solve(v)
-    return _finish(system, v, residual, iterations)
+    return Solution(v, residual, iterations)
 
 
 def solve(net: Network) -> Solution:
@@ -432,8 +422,10 @@ def solve(net: Network) -> Solution:
     return solve_linear(net) if net.cells.is_linear else solve_nonlinear(net)
 
 
-def bitline_currents(net: Network, sol: Solution, columns=None) -> np.ndarray:
-    """Current entering each bitline termination (positive into the sense node).
+def bitline_currents(net: Network, v: np.ndarray, columns=None) -> np.ndarray:
+    """Current entering each bitline termination (positive into the sense
+    node) at node voltages v: a vector, or a matrix with one column per
+    solve, which gives one row per bitline.
 
     ``columns`` restricts the query (needed when other bitlines float);
     querying a floating column is an error since it has no sense path.
@@ -445,13 +437,19 @@ def bitline_currents(net: Network, sol: Solution, columns=None) -> np.ndarray:
     if floating.any():
         j = int(columns[floating][0])
         raise ValueError(f"bitline {j} is floating: no sense path to measure current")
-    return -node_imbalance(net, sol.node_voltages)[att.control_node[columns]]
+    return -node_imbalance(net, v)[att.control_node[columns]]
 
 
-def source_power(net: Network, sol: Solution) -> float:
-    """Total power injected by all boundary sources (Tellegen counterpart
-    of branch dissipation)."""
-    leaving = node_imbalance(net, sol.node_voltages)
+def branch_power(net: Network, v: np.ndarray) -> np.ndarray:
+    """Total branch dissipation (watts) at node voltages v: a float for a
+    vector, one entry per column of a matrix."""
+    dv = branch_voltages(net, v)
+    return (dv * branch_currents_at(net, dv)).sum(axis=0)
+
+
+def source_power(net: Network, v: np.ndarray) -> float:
+    """Total power injected by all boundary sources at node voltages v
+    (Tellegen counterpart of ``branch_power``)."""
+    leaving = node_imbalance(net, v)
     fixed = np.flatnonzero(net.fixed_mask)
-    return float(np.dot(sol.node_voltages[fixed], leaving[fixed]))
-
+    return float(np.dot(v[fixed], leaving[fixed]))

@@ -16,6 +16,7 @@ from xbarsim.crossbar import CrossbarSpec, random_pattern
 from xbarsim.devices import CellGrid, LinearDeviceParams, VariationSpec
 from xbarsim.experiments import run_cdf_conventional, run_row_read_map
 from xbarsim.readout import RowReadSession
+from xbarsim.solver import branch_power
 
 LIN = LinearDeviceParams()
 
@@ -141,7 +142,7 @@ def test_criterion_6_power_consistency():
             for v_b in v_b_grid:
                 spec_vb = dataclasses.replace(spec, v_b=v_b)
                 V = session.solve_rows([row], v_b=v_b)
-                p_exact = float(session.branch_power_from(V)[0])
+                p_exact = float(branch_power(session.net, V)[0])
                 p_approx = power_row_approx(spec_vb, pattern, cells, row)
                 exact.append(p_exact)
                 if p_exact >= p_approx:

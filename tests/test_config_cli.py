@@ -231,6 +231,12 @@ class TestCli:
         ("experiment.v_b_list=[]", "power-sweep"),
         ("experiment.v_b_list=[1.3]", "power-sweep"),
         ("experiment.delta_v_grid=[]", "mismatch"),
+        # values the campaign would reject part-way through, or skip unseen
+        ("experiment.v_b_list=[-0.1,0.5]", "power-sweep"),
+        ("experiment.v_b_list=[.nan,0.5]", "power-sweep"),
+        ("experiment.delta_v_grid=[-1e-3]", "mismatch"),
+        ("experiment.r_s=0", "compare-schemes"),
+        ("experiment.r_s=-5", "compare-schemes"),
     ])
     def test_empty_campaign_is_a_config_error(self, tmp_path, capsys, override, command):
         size = ["--set", "crossbar.rows=8", "--set", "crossbar.cols=8"]

@@ -218,7 +218,7 @@ class TestHandAssembledAdmittance:
         stamp(5, 7, gw)  # bitline col 1
         for k, (a, b) in enumerate([(0, 4), (1, 5), (2, 6), (3, 7)]):
             stamp(a, b, gd)
-        got = assemble_admittance(net, cells.active_conductances(net.pattern)).toarray()
+        got = assemble_admittance(net, cells.conductances(net.active_params, 0.0)).toarray()
         assert np.allclose(got, G, rtol=0, atol=1e-18)
 
 
@@ -237,7 +237,7 @@ class TestIdealRailLimit:
             tuple(Clamp(float(v)) for v in bl_v),
         )
         net = build_network(spec, pattern, cells, bias)
-        got = bitline_currents(net, solve(net))
+        got = bitline_currents(net, solve(net).node_voltages)
         dv = wl_v[:, None] - bl_v[None, :]
         want = cells.currents(cells.active_params(pattern), dv).sum(axis=0)
         assert np.abs(got - want).max() < 1e-15

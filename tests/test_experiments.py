@@ -22,6 +22,7 @@ from xbarsim.experiments import (
     seeded_trial_stream,
 )
 from xbarsim.readout import RowReadSession
+from xbarsim.solver import branch_power
 
 
 def small_cfg(**exp_kwargs) -> RunConfig:
@@ -162,7 +163,7 @@ class TestPowerSweep:
             spec = dataclasses.replace(cfg.crossbar.to_spec(), rows=size, cols=size)
             session = RowReadSession(spec, cells, pattern)
             for v_b in exp.v_b_list:
-                power = session.branch_power_from(session.solve_rows(rows, v_b=v_b))
+                power = branch_power(session.net, session.solve_rows(rows, v_b=v_b))
                 want.update({(size, trial, v_b, i): float(p) for i, p in zip(rows, power)})
         assert got.keys() == want.keys()
         for key, p in want.items():

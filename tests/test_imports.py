@@ -1,5 +1,7 @@
-"""Every module-level import in the package is used.  No linter runs on
-this repository, so this test catches the imports a deletion orphans."""
+"""Every module-level import in the package is used, and every
+module-level private name it defines is read somewhere in it.  No linter
+runs on this repository, so this test catches the imports and helpers a
+deletion orphans."""
 
 import ast
 from pathlib import Path
@@ -9,7 +11,8 @@ import pytest
 import xbarsim
 
 # ``__init__.py`` imports only to re-export, so it is not checked.
-MODULES = sorted(p for p in Path(xbarsim.__file__).parent.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(Path(xbarsim.__file__).parent.glob("*.py"))
+MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 # Imported for others to reach: the SuperLU module that
 # ``perfbench/layers.py`` wraps through ``readout.spla``.
 EXEMPT = {"readout.py": {"spla"}}
@@ -62,3 +65,50 @@ def test_module_has_no_unused_import(path):
     unused = [u for u in unused_imports(path.read_text())
               if u.split(": ")[1] not in exempt]
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _module_statements(body):
+    """Statements run at module level, inside top-level try and if blocks too."""
+    for node in body:
+        yield node
+        if isinstance(node, (ast.Try, ast.If)):
+            handlers = [h.body for h in getattr(node, "handlers", ())]
+            for block in (node.body, node.orelse, getattr(node, "finalbody", []), *handlers):
+                yield from _module_statements(block)
+
+
+def private_definitions(source: str) -> list[str]:
+    """Module-level ``_names`` (not dunders) that functions, classes and
+    assignments define."""
+    names = []
+    for node in _module_statements(ast.parse(source).body):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def loaded_names(source: str) -> set[str]:
+    """Names read as variables or as attributes (``solver._PANEL``)."""
+    tree = ast.parse(source)
+    nodes = list(ast.walk(tree))
+    return ({n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in nodes if isinstance(n, ast.Attribute)})
+
+
+def test_checker_finds_a_dead_private_name():
+    source = ("try:\n    _lib = load()\nexcept OSError:\n    _lib = None\n"
+              "_A, _B = 1, 2\n__all__ = []\n\n"
+              "def _used():\n    return _A\n\n"
+              "def _dead():\n    return _used()\n")
+    assert private_definitions(source) == ["_lib", "_lib", "_A", "_B", "_used", "_dead"]
+    assert set(private_definitions(source)) - loaded_names(source) == {"_lib", "_B", "_dead"}
+
+
+def test_every_private_name_is_read():
+    loaded = set().union(*(loaded_names(p.read_text()) for p in ALL_MODULES))
+    dead = [f"{p.name}: {name}" for p in ALL_MODULES
+            for name in private_definitions(p.read_text()) if name not in loaded]
+    assert not dead, f"private names defined but never read: {dead}"

@@ -351,7 +351,7 @@ class TestVoltageSchemes:
         wordlines = tuple(Drive(spec.v_dd) if r == 2 else Clamp(spec.v_b) for r in range(4))
         clamp_bias = BiasConfig.from_terms(wordlines, tuple(Clamp(0.0) for _ in range(4)))
         net = build_network(spec, pattern, cells, clamp_bias)
-        want = bitline_currents(net, solve(net))
+        want = bitline_currents(net, solve(net).node_voltages)
         assert np.abs(sensed / r_s / want - 1).max() < 1e-3
 
 
@@ -440,7 +440,7 @@ class TestRowReadSession:
         cells = CellGrid.sample(40, 40, base, VariationSpec(0.1, 43))
         session = RowReadSession(spec, cells, pattern)
         panels = _count_superlu_columns(session)
-        got = session.current_map()
+        got = session.row_currents(range(40))
         assert max(panels) == solver._PANEL and 8 in panels
         for i in (0, 15, 16, 31, 32, 39):
             want = read_row(spec, cells, pattern, i)
@@ -489,7 +489,7 @@ class TestRowReadSession:
         cells = CellGrid.sample(20, 12, LIN, VariationSpec(0.1, 37))
         session = RowReadSession(spec, cells, pattern)
         solved = _count_solved_columns(session)
-        session.current_map()
+        session.row_currents(range(20))
         assert solved == [16, 16, 4, 4]
         V = session.solve_rows(range(20))
         leaving = node_imbalance(session.net, V)[~session.net.fixed_mask]

@@ -116,7 +116,8 @@ def test_every_path_matches_direct_solve_within_kcl_bound(
         assert sol.kcl_residual <= KCL_BOUND
         assert _kcl(net, sol.node_voltages) <= KCL_BOUND
         assert _in_hull(sol.node_voltages, net.fixed_voltage[net.fixed_mask])
-        np.testing.assert_allclose(got[i], bitline_currents(net, sol), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got[i], bitline_currents(net, sol.node_voltages),
+                                   rtol=0, atol=1e-12)
 
 
 @settings(max_examples=120, deadline=None)
@@ -170,7 +171,7 @@ def test_floating_conventional_session_enforces_its_tolerance(monkeypatch):
 def _reference_sensed(net) -> np.ndarray:
     """Bitline currents refined with long-double residuals and voltages."""
     u = ~net.fixed_mask
-    G = assemble_admittance(net, net.cells.active_conductances(net.pattern))
+    G = assemble_admittance(net, net.cells.conductances(net.active_params, 0.0))
     lu = spla.splu(G[u][:, u].tocsc())
     v = np.where(net.fixed_mask, net.fixed_voltage, 0.0).astype(np.longdouble)
     for _ in range(12):
@@ -184,7 +185,7 @@ def test_session_currents_near_long_double_reference():
     rng = np.random.default_rng(5)
     pattern = random_pattern(n, n, rng)
     cells = CellGrid.sample(n, n, LinearDeviceParams(), VariationSpec(0.10, 5))
-    got = RowReadSession(spec, cells, pattern).current_map()
+    got = RowReadSession(spec, cells, pattern).row_currents(range(n))
     for i in range(n):
         net = build_network(spec, pattern, cells, row_read_bias(spec, i))
         want = _reference_sensed(net)
@@ -282,7 +283,7 @@ def test_dissection_order_keeps_fill_below_colamd():
     pattern = random_pattern(n, n, np.random.default_rng(1))
     cells = CellGrid.sample(n, n, LinearDeviceParams(), VariationSpec(0.10, 1))
     net = build_network(spec, pattern, cells, row_read_bias(spec, 0))
-    g = cells.active_conductances(pattern)
+    g = cells.conductances(net.active_params, 0.0)
     system = ReducedSystem(net)
     system.factor(g)
     u = np.flatnonzero(~net.fixed_mask)
@@ -295,8 +296,9 @@ def test_block_solve_in_panels_equals_one_column_at_a_time():
     spec = CrossbarSpec(rows=12, cols=12, r_wire=10.0)
     pattern = random_pattern(12, 12, np.random.default_rng(3))
     cells = CellGrid.sample(12, 12, LinearDeviceParams(), VariationSpec(0.10, 3))
-    system = ReducedSystem(build_network(spec, pattern, cells, row_read_bias(spec, 0)))
-    system.factor(cells.active_conductances(pattern))
+    net = build_network(spec, pattern, cells, row_read_bias(spec, 0))
+    system = ReducedSystem(net)
+    system.factor(cells.conductances(net.active_params, 0.0))
     rng = np.random.default_rng(3)
     B = rng.standard_normal((system.unknown.size, 37))
     X = system.solve_block(B)
@@ -324,7 +326,7 @@ if sys.argv[1] == 'freed':
     blocks = [np.ones(1 << 17) for _ in range(40)]
     del blocks
 system = ReducedSystem(net)
-system.factor(cells.active_conductances(pattern))
+system.factor(cells.conductances(net.active_params, 0.0))
 with open('/proc/self/statm') as f:
     resident, shared = (int(x) for x in f.read().split()[1:3])
 print((resident - shared) * resource.getpagesize() / 2**20)

@@ -26,6 +26,9 @@ from xbarsim.solver import (
     SingularNetworkError,
     assemble_admittance,
     bitline_currents,
+    branch_currents_at,
+    branch_power,
+    branch_voltages,
     check_grounded,
     node_imbalance,
     solve,
@@ -46,12 +49,21 @@ def build(spec, base, bias, seed=0, sigma=0.0, pattern=None):
     return build_network(spec, pattern, cells, bias)
 
 
+def currents(net, sol):
+    """Branch currents of a solve: wires, then devices (cell-major)."""
+    return branch_currents_at(net, branch_voltages(net, sol.node_voltages))
+
+
+def device_currents(net, sol):
+    return currents(net, sol)[net.wire_a.size:]
+
+
 class TestLinearSolve:
     def test_single_resistor(self):
         spec = CrossbarSpec(rows=1, cols=1, r_wire=0.0)
         net = build(spec, LIN, row_read_bias(spec, 0), pattern=np.ones((1, 1), np.int8))
         sol = solve_linear(net)
-        assert sol.device_currents[0] == pytest.approx(0.5e-6, rel=1e-15)
+        assert device_currents(net, sol)[0] == pytest.approx(0.5e-6, rel=1e-15)
         assert sol.iterations == 1
 
     def test_matches_dense_oracle_2x2(self):
@@ -68,9 +80,9 @@ class TestLinearSolve:
         bias = row_read_bias(spec, 2)
         bias_shift = dataclasses.replace(bias, wl_v=bias.wl_v + delta, bl_v=bias.bl_v + delta)
         net1 = build(spec, LIN, bias_shift, sigma=0.1)
-        i0 = solve_linear(net0)
-        i1 = solve_linear(net1)
-        assert np.abs(i0.branch_currents - i1.branch_currents).max() < 1e-12
+        i0 = currents(net0, solve_linear(net0))
+        i1 = currents(net1, solve_linear(net1))
+        assert np.abs(i0 - i1).max() < 1e-12
 
     def test_linear_superposition(self):
         spec = CrossbarSpec(rows=6, cols=5, r_wire=10.0)
@@ -78,10 +90,12 @@ class TestLinearSolve:
         spec_scaled = dataclasses.replace(spec, v_dd=spec.v_b + c * (spec.v_dd - spec.v_b))
         pattern = random_pattern(6, 5, np.random.default_rng(8))
         cells = CellGrid.sample(6, 5, LIN, VariationSpec(0.1, 8))
-        i_full = solve_linear(build_network(spec, pattern, cells, row_read_bias(spec, 1)))
-        i_scaled = solve_linear(build_network(spec_scaled, pattern, cells, row_read_bias(spec_scaled, 1)))
-        err = np.abs(i_scaled.branch_currents - c * i_full.branch_currents)
-        assert err.max() < 1e-10 * np.abs(i_full.branch_currents).max()
+        net_full = build_network(spec, pattern, cells, row_read_bias(spec, 1))
+        net_scaled = build_network(spec_scaled, pattern, cells, row_read_bias(spec_scaled, 1))
+        i_full = currents(net_full, solve_linear(net_full))
+        i_scaled = currents(net_scaled, solve_linear(net_scaled))
+        err = np.abs(i_scaled - c * i_full)
+        assert err.max() < 1e-10 * np.abs(i_full).max()
 
     def test_direct_solve_then_one_refinement_step(self):
         # the second correction predicts a third below the rounding floor,
@@ -113,7 +127,7 @@ class TestNonlinearSolve:
         spec = CrossbarSpec(rows=1, cols=1, r_wire=0.0)
         net = build(spec, NON, row_read_bias(spec, 0), pattern=np.ones((1, 1), np.int8))
         sol = solve_nonlinear(net)
-        assert sol.device_currents[0] == pytest.approx(1e-8 * math.sinh(1.5), rel=1e-12)
+        assert device_currents(net, sol)[0] == pytest.approx(1e-8 * math.sinh(1.5), rel=1e-12)
 
     def test_series_resistance_matches_bisection_oracle(self):
         # drive and clamp each attach through r_driver = 5 ohm, so the device
@@ -130,7 +144,7 @@ class TestNonlinearSolve:
                 lo = mid
             else:
                 hi = mid
-        assert sol.device_currents[0] == pytest.approx(0.5 * (lo + hi), abs=1e-12)
+        assert device_currents(net, sol)[0] == pytest.approx(0.5 * (lo + hi), abs=1e-12)
 
     def test_zero_excitation_converges_immediately(self):
         spec = CrossbarSpec(rows=3, cols=3, r_wire=10.0)
@@ -138,7 +152,7 @@ class TestNonlinearSolve:
         net = build(spec, NON, bias, pattern=np.zeros((3, 3), np.int8))
         sol = solve_nonlinear(net)
         assert sol.iterations == 1
-        assert np.abs(sol.device_currents).max() == 0.0
+        assert np.abs(device_currents(net, sol)).max() == 0.0
 
     def test_all_fixed_network_skips_the_nodal_residual(self, monkeypatch):
         # r_wire = 0 and r_driver = 0: every node is a line rail held by its
@@ -160,7 +174,8 @@ class TestNonlinearSolve:
         k = np.where(net.pattern == 1, net.cells.on_values, net.cells.off_values)
         dv = np.zeros((4, 3))
         dv[1] = spec.v_dd - spec.v_b
-        assert np.allclose(sol.device_currents, (k * np.sinh(NON.a * dv)).ravel(), rtol=1e-12, atol=0)
+        assert np.allclose(device_currents(net, sol), (k * np.sinh(NON.a * dv)).ravel(),
+                           rtol=1e-12, atol=0)
 
     def test_converges_within_budget_at_paper_params(self):
         spec = CrossbarSpec(rows=8, cols=8, r_wire=10.0)
@@ -276,8 +291,10 @@ class TestPhysicsInvariants:
         b1 = dataclasses.replace(b0, wl_v=b0.wl_v + delta, bl_v=b0.bl_v + delta)
         pattern = random_pattern(4, 4, np.random.default_rng(4))
         cells = CellGrid.sample(4, 4, base, VariationSpec(0.1, 4))
-        i0 = solve(build_network(spec, pattern, cells, b0)).branch_currents
-        i1 = solve(build_network(spec, pattern, cells, b1)).branch_currents
+        net0 = build_network(spec, pattern, cells, b0)
+        net1 = build_network(spec, pattern, cells, b1)
+        i0 = currents(net0, solve(net0))
+        i1 = currents(net1, solve(net1))
         assert np.abs(i0 - i1).max() < 1e-12
 
 
@@ -300,7 +317,7 @@ class TestOracleEquivalence:
         spec = CrossbarSpec(rows=1, cols=1, r_wire=0.0)
         net = build(spec, LIN, row_read_bias(spec, 0), pattern=np.ones((1, 1), np.int8))
         sol = dense_reference_solve(net)
-        assert sol.device_currents[0] == pytest.approx(0.5e-6, rel=1e-15)
+        assert device_currents(net, sol)[0] == pytest.approx(0.5e-6, rel=1e-15)
 
     def test_dense_size_cap(self):
         spec = CrossbarSpec(rows=64, cols=64, r_wire=10.0)
@@ -331,15 +348,13 @@ class TestInterfaces:
         net = build(spec, LIN, bias)
         sol = solve(net)
         with pytest.raises(ValueError, match="no sense path"):
-            bitline_currents(net, sol)
+            bitline_currents(net, sol.node_voltages)
 
     def test_source_power_balances_dissipation(self):
         spec = CrossbarSpec(rows=6, cols=6, r_wire=10.0)
         net = build(spec, LIN, row_read_bias(spec, 3), sigma=0.1, seed=12)
         sol = solve(net)
-        from xbarsim.analytics import power_exact
-
-        p_branch = power_exact(net, sol)
-        p_src = source_power(net, sol)
+        p_branch = branch_power(net, sol.node_voltages)
+        p_src = source_power(net, sol.node_voltages)
         slack = net.n_nodes * np.abs(sol.node_voltages).max() * max(sol.kcl_residual, 1e-16)
         assert abs(p_branch - p_src) <= 1e-12 * abs(p_src) + slack
