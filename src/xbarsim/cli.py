@@ -5,15 +5,12 @@ the exit status is nonzero."""
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
 from . import experiments
-from .analytics import render_fom_table, technique_fom_table
-from .config import ConfigError, RunConfig, config_echo, parse_config
-from .io import default_output_dir, write_csv, write_summary_json
-from .readout import RowReadSession, classify, midpoint_threshold
+from .analytics import TechniqueRow, render_fom_table
+from .config import ConfigError, parse_config
 from .selftest import run_selftest
 
 
@@ -44,53 +41,44 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _cmd_read_row(cfg: RunConfig, out_dir, row: int) -> dict:
-    spec = cfg.crossbar.to_spec()
-    pattern, cells, _ = experiments.sample_trial(
-        cfg, 0, spec.rows, spec.cols, cfg.device.base_params()
-    )
-    currents = RowReadSession(spec, cells, pattern).row_currents([row])[0]
-    threshold = midpoint_threshold(spec, cells.base)
-    read_bits = classify(currents, threshold)
-    base = default_output_dir(out_dir if out_dir is not None else cfg.output_dir)
-    csv_path = base / f"read-row-{cfg.experiment.master_seed}.csv"
-    write_csv(csv_path, ["row", "col", "true_bit", "current_A", "read_bit"],
-              zip([row] * spec.cols, range(spec.cols), pattern[row].tolist(),
-                  currents.tolist(), read_bits.tolist()))
-    summary = {
-        "experiment": "read-row",
-        "row": row,
-        "seed": cfg.experiment.master_seed,
-        "threshold_A": threshold,
-        "errors": int((read_bits != pattern[row]).sum()),
-        "config": config_echo(cfg),
-    }
-    write_summary_json(csv_path.with_suffix(".json"), summary)
-    return summary
+def _mismatch_report(s: dict) -> str:
+    limits = {m: [r["n_max_analytic"] for r in s["table"] if r["model"] == m]
+              for m in ("linear", "nonlinear")}
+    return ("mismatch: analytic column limits "
+            f"linear={limits['linear']} nonlinear={limits['nonlinear']} "
+            f"(within 5%: {s['within_5pct']})")
 
 
-def _cmd_fom_table(cfg: RunConfig, out_dir, banks: int) -> dict:
-    rows = technique_fom_table(r_banks=banks)
-    print(render_fom_table(rows))
-    base = default_output_dir(out_dir if out_dir is not None else cfg.output_dir)
-    csv_path = base / f"fom-table-{banks}.csv"
-    write_csv(
-        csv_path,
-        ["technique", "readout_circuit", "locality_needed", "throughput",
-         "array_usage", "power_W", "fom_recomputed", "fom_published", "match"],
-        [(r.name, r.readout_circuit, r.locality_needed, r.throughput, r.array_usage,
-          r.reading_power, r.fom_recomputed, r.fom_published,
-          "MATCH" if r.matches_published else "MISMATCH") for r in rows],
-    )
-    summary = {
-        "experiment": "fom-table",
-        "banks": banks,
-        "all_match": all(r.matches_published for r in rows),
-        "rows": [dataclasses.asdict(r) for r in rows],
-        "config": config_echo(cfg),
-    }
-    write_summary_json(csv_path.with_suffix(".json"), summary)
-    return summary
+def _fom_report(s: dict) -> str:
+    table = render_fom_table([TechniqueRow(**r) for r in s["rows"]])
+    return f"{table}\nfom-table: {'all rows MATCH' if s['all_match'] else 'MISMATCH present'}"
+
+
+# Each file-writing command: its runner of (config, parsed arguments) and
+# the report it prints from the summary.  A runner reads ``experiments.run_*``
+# when it runs, not at import, so names rebound later (the benchmark's layer
+# tracer) take effect.
+_COMMANDS = {
+    "read-row": (
+        lambda cfg, a: experiments.run_read_row(cfg, a.out, a.row),
+        lambda s: f"read-row: {s['errors']} classification error(s), "
+                  f"threshold {s['threshold_A']:.4g} A"),
+    "cdf": (
+        lambda cfg, a: experiments.run_cdf_conventional(cfg, a.out),
+        lambda s: f"cdf: best BER {s['best_ber']:.4g} at threshold "
+                  f"{s['best_threshold_A']:.4g} A over {s['samples']} samples"),
+    "map": (
+        lambda cfg, a: experiments.run_row_read_map(cfg, a.out),
+        lambda s: f"map: {s['errors']} error(s), separation ratio {s['separation_ratio']:.4g}"),
+    "power-sweep": (
+        lambda cfg, a: experiments.run_power_sweep(cfg, a.out),
+        lambda s: f"power-sweep: checks {s['checks']}"),
+    "fom-table": (lambda cfg, a: experiments.run_fom_table(cfg, a.out, a.banks), _fom_report),
+    "mismatch": (lambda cfg, a: experiments.run_mismatch_sweep(cfg, a.out), _mismatch_report),
+    "compare-schemes": (
+        lambda cfg, a: experiments.run_scheme_compare(cfg, a.out),
+        lambda s: f"compare-schemes: first failing sizes {s['first_failing_size']}"),
+}
 
 
 def main(argv=None) -> int:
@@ -101,37 +89,8 @@ def main(argv=None) -> int:
             failures = run_selftest()
             print("selftest:", "PASS" if failures == 0 else f"{failures} FAILURE(S)")
             return 0 if failures == 0 else 1
-        if args.command == "read-row":
-            summary = _cmd_read_row(cfg, args.out, args.row)
-            print(f"read-row: {summary['errors']} classification error(s), "
-                  f"threshold {summary['threshold_A']:.4g} A")
-        elif args.command == "cdf":
-            summary = experiments.run_cdf_conventional(cfg, args.out)
-            print(f"cdf: best BER {summary['best_ber']:.4g} at threshold "
-                  f"{summary['best_threshold_A']:.4g} A over {summary['samples']} samples")
-        elif args.command == "map":
-            summary = experiments.run_row_read_map(cfg, args.out)
-            print(f"map: {summary['errors']} error(s), separation ratio "
-                  f"{summary['separation_ratio']:.4g}")
-        elif args.command == "power-sweep":
-            summary = experiments.run_power_sweep(cfg, args.out)
-            print(f"power-sweep: checks {summary['checks']}")
-        elif args.command == "fom-table":
-            summary = _cmd_fom_table(cfg, args.out, args.banks)
-            print("fom-table:", "all rows MATCH" if summary["all_match"] else "MISMATCH present")
-        elif args.command == "mismatch":
-            summary = experiments.run_mismatch_sweep(cfg, args.out)
-            lin = [r for r in summary["table"] if r["model"] == "linear"]
-            non = [r for r in summary["table"] if r["model"] == "nonlinear"]
-            print("mismatch: analytic column limits "
-                  f"linear={[r['n_max_analytic'] for r in lin]} "
-                  f"nonlinear={[r['n_max_analytic'] for r in non]} "
-                  f"(within 5%: {summary['within_5pct']})")
-        elif args.command == "compare-schemes":
-            summary = experiments.run_scheme_compare(cfg, args.out)
-            print(f"compare-schemes: first failing sizes {summary['first_failing_size']}")
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ValueError(f"unknown command {args.command!r}")
+        run, report = _COMMANDS[args.command]
+        print(report(run(cfg, args)))
         return 0
     except ConfigError as e:
         json.dump({"error": "config", "where": e.where, "message": str(e)}, sys.stderr)

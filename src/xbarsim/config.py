@@ -158,6 +158,8 @@ class ExperimentConfig:
         for name in ("v_b_list", "delta_v_grid"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be a nonempty list")
+        if not 0 <= self.ber_fail_threshold <= 0.5:  # also rejects NaN
+            raise ValueError(f"ber_fail_threshold must be in [0, 0.5], got {self.ber_fail_threshold}")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,10 @@ bias-mismatch column-width sweep, and a scheme comparison table.
 Every campaign is a pure function of (configuration, master seed): trial
 streams are keyed by stable indices, worker parallelism merges results by
 index, and output files are byte-identical across runs and worker counts.
-Output naming is ``{experiment}-{seed}.csv`` / ``.json``.
+Every command writes its files through ``emit``: ``{experiment}-{seed}.csv``,
+any side table as ``{experiment}-{seed}-{table}.csv`` (``-cdf``, ``-hist``)
+and a ``{experiment}-{seed}.json`` summary; ``fom-table`` tags its files with
+the bank count in place of the seed.
 """
 
 from __future__ import annotations
@@ -14,22 +17,15 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 
 from . import analytics, readout
 from .config import RunConfig, config_echo
 from .crossbar import FLOATING, CrossbarSpec, ResistiveLoad, random_pattern
-from .devices import HRS, LRS, CellGrid, DeviceParams, VariationSpec
+from .devices import CellGrid, DeviceParams, VariationSpec
 from .io import default_output_dir, write_csv, write_summary_json
-from .readout import (
-    ConventionalSession,
-    RowReadSession,
-    SchemeKind,
-    best_threshold_ber,
-    split_by_state,
-)
+from .readout import ConventionalSession, RowReadSession, best_threshold_ber, split_by_state
 from .solver import SolverConvergenceError, branch_power
 
 # mallopt parameter numbers from glibc's <malloc.h>
@@ -92,15 +88,21 @@ def _map_units(fn, units, workers: int) -> list:
         return list(pool.map(fn, units))
 
 
-def _ecdf(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    v = np.sort(np.asarray(values, dtype=float))
-    return v, np.arange(1, v.size + 1) / v.size
-
-
-def _out_paths(cfg: RunConfig, out_dir, name: str) -> tuple[Path, Path]:
-    base = default_output_dir(out_dir if out_dir is not None else cfg.output_dir)
+def emit(cfg: RunConfig, out_dir, name: str, summary: dict, *tables, tag=None) -> dict:
+    """Write each table ``(suffix, header, rows)`` to ``{name}-{tag}{suffix}.csv``,
+    then the summary, with ``experiment``, ``config`` and (when the tag is
+    the master seed, its default) ``seed`` filled in, to ``{name}-{tag}.json``;
+    return that summary.  ``write_csv`` and ``write_summary_json`` are read
+    from this module, where the benchmark's layer tracer rebinds them."""
     seed = cfg.experiment.master_seed
-    return base / f"{name}-{seed}.csv", base / f"{name}-{seed}.json"
+    base = default_output_dir(out_dir if out_dir is not None else cfg.output_dir)
+    stem = f"{name}-{seed if tag is None else tag}"
+    for suffix, header, rows in tables:
+        write_csv(base / f"{stem}{suffix}.csv", header, rows)
+    summary = {"experiment": name, **({"seed": seed} if tag is None else {}),
+               **summary, "config": config_echo(cfg)}
+    write_summary_json(base / f"{stem}.json", summary)
+    return summary
 
 
 # Conventional-read CDF ----------------------------------------------------------
@@ -134,16 +136,16 @@ def run_cdf_conventional(cfg: RunConfig, out_dir=None) -> dict:
         try:
             targets, currents = _conventional_reads(spec, cells, pattern, rng, per_bg)
         except SolverConvergenceError as e:
-            return t, [], str(e)
+            return [], str(e)
         rows = [
             (t, i, j, int(pattern[i, j]), float(c))
             for (i, j), c in zip(targets, currents)
         ]
-        return t, rows, None
+        return rows, None
 
     results = _map_units(one_background, range(exp.backgrounds), exp.workers)
     observations, failures = [], []
-    for t, rows, err in sorted(results, key=lambda r: r[0]):
+    for t, (rows, err) in enumerate(results):
         observations.extend(rows)
         if err:
             failures.append({"trial": t, "error": err})
@@ -153,84 +155,75 @@ def run_cdf_conventional(cfg: RunConfig, out_dir=None) -> dict:
     lrs, hrs = split_by_state(currents, bits)
     threshold, ber = best_threshold_ber(lrs, hrs)
 
-    csv_path, json_path = _out_paths(cfg, out_dir, "cdf-conventional")
-    write_csv(csv_path, ["trial", "row", "col", "true_bit", "current_A"], observations)
     cdf_rows = []
     for tag, vals in (("LRS", lrs), ("HRS", hrs)):
-        v, p = _ecdf(vals)
-        cdf_rows.extend((tag, float(x), float(q)) for x, q in zip(v, p))
-    write_csv(csv_path.with_name(csv_path.stem + "-cdf.csv"),
-              ["state", "current_A", "cum_prob"], cdf_rows)
-    summary = {
-        "experiment": "cdf-conventional",
-        "seed": exp.master_seed,
+        v = np.sort(vals)
+        cdf_rows.extend((tag, float(x), (k + 1) / v.size) for k, x in enumerate(v))
+    return emit(cfg, out_dir, "cdf-conventional", {
         "samples": len(observations),
         "lrs_count": int(lrs.size),
         "hrs_count": int(hrs.size),
         "best_threshold_A": threshold,
         "best_ber": ber,
         "failures": failures,
-        "config": config_echo(cfg),
-    }
-    write_summary_json(json_path, summary)
-    return summary
+    }, ("", ["trial", "row", "col", "true_bit", "current_A"], observations),
+        ("-cdf", ["state", "current_A", "cum_prob"], cdf_rows))
 
 
 # Row-readout current map --------------------------------------------------------
 
-def run_row_read_map(cfg: RunConfig, out_dir=None) -> dict:
-    """Read every row of one sampled array; emit the full sensed-current map,
-    per-state histograms, and the separation statistics."""
-    exp = cfg.experiment
+def _read_rows(cfg: RunConfig, rows=None):
+    """Read ``rows`` (default: every row) of trial 0's array in one clamped
+    row session and classify each current at the midpoint threshold.
+
+    Returns the stored bits of those rows, their currents, the threshold,
+    the number of misread cells and the read's CSV table."""
     spec = cfg.crossbar.to_spec()
     base = cfg.device.base_params()
     pattern, cells, _ = sample_trial(cfg, 0, spec.rows, spec.cols, base)
-    session = RowReadSession(spec, cells, pattern)
-    current_map = session.row_currents(range(spec.rows))
+    rows = list(range(spec.rows) if rows is None else rows)
+    currents = RowReadSession(spec, cells, pattern).row_currents(rows)
     threshold = readout.midpoint_threshold(spec, base)
-    read_bits = readout.classify(current_map, threshold)
-    n_errors = int((read_bits != pattern).sum())
+    bits, read_bits = pattern[rows], readout.classify(currents, threshold)
+    table = ("", ["row", "col", "true_bit", "current_A", "read_bit"],
+             zip(np.repeat(rows, spec.cols).tolist(), list(range(spec.cols)) * len(rows),
+                 bits.ravel().tolist(), currents.ravel().tolist(), read_bits.ravel().tolist()))
+    return bits, currents, threshold, int((read_bits != bits).sum()), table
 
-    lrs = current_map[pattern == LRS]
-    hrs = current_map[pattern == HRS]
+
+def run_read_row(cfg: RunConfig, out_dir=None, row: int = 0) -> dict:
+    """Read one row of the array ``run_row_read_map`` reads, on its own."""
+    _, _, threshold, n_errors, table = _read_rows(cfg, [row])
+    return emit(cfg, out_dir, "read-row",
+                {"row": row, "threshold_A": threshold, "errors": n_errors}, table)
+
+
+def run_row_read_map(cfg: RunConfig, out_dir=None) -> dict:
+    """Read every row of one sampled array; emit the full sensed-current map,
+    per-state histograms, and the separation statistics."""
+    pattern, current_map, threshold, n_errors, table = _read_rows(cfg)
+    lrs, hrs = split_by_state(current_map, pattern)
     min_lrs = float(lrs.min()) if lrs.size else float("nan")
     max_hrs = float(hrs.max()) if hrs.size else float("nan")
     separation = min_lrs / max_hrs if hrs.size and lrs.size else float("nan")
 
-    csv_path, json_path = _out_paths(cfg, out_dir, "row-read-map")
-    ii, jj = np.divmod(np.arange(pattern.size), spec.cols)
-    write_csv(
-        csv_path,
-        ["row", "col", "true_bit", "current_A", "read_bit"],
-        zip(ii.tolist(), jj.tolist(),
-            pattern.ravel().tolist(),
-            [float(x) for x in current_map.ravel()],
-            read_bits.ravel().tolist()),
-    )
     hist_rows = []
     for tag, vals in (("LRS", lrs), ("HRS", hrs)):
         if vals.size == 0:
             continue
-        counts, edges = np.histogram(vals, bins=exp.map_bins)
+        counts, edges = np.histogram(vals, bins=cfg.experiment.map_bins)
         hist_rows.extend(
             (tag, float(edges[k]), float(edges[k + 1]), int(counts[k]))
             for k in range(counts.size)
         )
-    write_csv(csv_path.with_name(csv_path.stem + "-hist.csv"),
-              ["state", "bin_lo_A", "bin_hi_A", "count"], hist_rows)
-    summary = {
-        "experiment": "row-read-map",
-        "seed": exp.master_seed,
+    return emit(cfg, out_dir, "row-read-map", {
         "device_model": cfg.device.model,
         "threshold_A": threshold,
         "errors": n_errors,
         "min_lrs_current_A": min_lrs,
         "max_hrs_current_A": max_hrs,
         "separation_ratio": separation,
-        "config": config_echo(cfg),
-    }
-    write_summary_json(json_path, summary)
-    return summary
+    }, table, ("-hist", ["state", "bin_lo_A", "bin_hi_A", "count"], hist_rows))
 
 
 # Power sweep ---------------------------------------------------------------------
@@ -239,13 +232,11 @@ def run_power_sweep(cfg: RunConfig, out_dir=None) -> dict:
     """Read power versus array size and hold voltage for both device models,
     as the wire-free approximation next to the network-exact value."""
     exp = cfg.experiment
-    rows_out = []
     checks = {"exact_below_approx": True, "monotone_in_v_b": True}
 
     def one_unit(unit):
         idx, (model, size, trial) = unit
-        dev_cfg = dataclasses.replace(cfg.device, model=model)
-        base = dev_cfg.base_params()
+        base = dataclasses.replace(cfg.device, model=model).base_params()
         spec0 = dataclasses.replace(cfg.crossbar.to_spec(), rows=size, cols=size)
         pattern, cells, rng = sample_trial(cfg, 2000 + idx, size, size, base)
         sample_rows = sorted(rng.choice(size, size=min(exp.power_rows, size), replace=False).tolist())
@@ -271,17 +262,11 @@ def run_power_sweep(cfg: RunConfig, out_dir=None) -> dict:
                 out.append((model, size, trial, float(v_b), i,
                             float(approx[k]), float(exact[k]),
                             float(array_approx), float(size * np.mean(exact))))
-        return idx, out
+        return out
 
-    units = list(enumerate(
-        (model, size, t)
-        for model in ("linear", "nonlinear")
-        for size in exp.sizes
-        for t in range(exp.trials)
-    ))
-    results = _map_units(one_unit, units, exp.workers)
-    for _, out in sorted(results, key=lambda r: r[0]):
-        rows_out.extend(out)
+    units = list(enumerate((model, size, t) for model in ("linear", "nonlinear")
+                           for size in exp.sizes for t in range(exp.trials)))
+    rows_out = [row for out in _map_units(one_unit, units, exp.workers) for row in out]
 
     by_series: dict = {}
     for model, size, trial, v_b, row, p_approx, p_exact, *_ in rows_out:
@@ -294,25 +279,14 @@ def run_power_sweep(cfg: RunConfig, out_dir=None) -> dict:
         if any(b > a for a, b in zip(powers, powers[1:])):
             checks["monotone_in_v_b"] = False
 
-    csv_path, json_path = _out_paths(cfg, out_dir, "power-sweep")
-    write_csv(
-        csv_path,
-        ["model", "size", "trial", "v_b_V", "row",
-         "power_row_approx_W", "power_row_exact_W",
-         "power_array_approx_W", "power_array_exact_est_W"],
-        rows_out,
-    )
-    summary = {
-        "experiment": "power-sweep",
-        "seed": exp.master_seed,
+    return emit(cfg, out_dir, "power-sweep", {
         "sizes": list(exp.sizes),
         "v_b_list": list(exp.v_b_list),
         "trials": exp.trials,
         "checks": checks,
-        "config": config_echo(cfg),
-    }
-    write_summary_json(json_path, summary)
-    return summary
+    }, ("", ["model", "size", "trial", "v_b_V", "row",
+             "power_row_approx_W", "power_row_exact_W",
+             "power_array_approx_W", "power_array_exact_est_W"], rows_out))
 
 
 # Mismatch sweep --------------------------------------------------------------------
@@ -339,40 +313,32 @@ def run_mismatch_sweep(cfg: RunConfig, out_dir=None) -> dict:
                 "relative_gap": gap if np.isfinite(gap) else None,
                 "unbounded": check.unbounded,
             })
-    csv_path, json_path = _out_paths(cfg, out_dir, "mismatch-sweep")
-    write_csv(csv_path,
-              ["model", "delta_v_V", "n_max_analytic", "n_max_empirical", "relative_gap"],
-              rows_out)
-    summary = {
-        "experiment": "mismatch-sweep",
-        "seed": exp.master_seed,
+    return emit(cfg, out_dir, "mismatch-sweep", {
         "within_5pct": all(
             r["relative_gap"] is not None and r["relative_gap"] <= 0.05 for r in table
         ),
         "table": table,
-        "config": config_echo(cfg),
-    }
-    write_summary_json(json_path, summary)
-    return summary
+    }, ("", ["model", "delta_v_V", "n_max_analytic", "n_max_empirical", "relative_gap"], rows_out))
 
 
 # Scheme comparison -------------------------------------------------------------------
+
+_SCHEMES = ("row-readout", "conventional", "floating-bitlines", "resistive-load")
+
 
 def _scheme_populations(scheme: str, cfg: RunConfig, spec: CrossbarSpec,
                         cells: CellGrid, pattern, rng) -> tuple[np.ndarray, np.ndarray, str]:
     exp = cfg.experiment
     rows = sorted(rng.choice(spec.rows, size=min(exp.scheme_rows, spec.rows), replace=False).tolist())
-    if scheme == SchemeKind.CONVENTIONAL.value:
+    if scheme == "conventional":
         targets, values = _conventional_reads(spec, cells, pattern, rng, min(exp.sample_cells, 256))
         bits = np.array([pattern[i, j] for i, j in targets])
         return values, bits, "A"
     bitlines = {
-        SchemeKind.ROW_READOUT.value: None,
-        SchemeKind.FLOATING_BITLINES.value: FLOATING,
-        SchemeKind.RESISTIVE_LOAD.value: ResistiveLoad(exp.r_s),
+        "row-readout": None,
+        "floating-bitlines": FLOATING,
+        "resistive-load": ResistiveLoad(exp.r_s),
     }
-    if scheme not in bitlines:
-        raise ValueError(f"unknown scheme {scheme!r}")
     session = RowReadSession(spec, cells, pattern, bitlines=bitlines[scheme])
     return session.row_currents(rows).ravel(), pattern[rows].ravel(), session.unit
 
@@ -381,7 +347,6 @@ def run_scheme_compare(cfg: RunConfig, out_dir=None) -> dict:
     """Best-threshold error rate and state margin per scheme and array size;
     flags the first size at which each scheme stops separating the states."""
     exp = cfg.experiment
-    schemes = tuple(kind.value for kind in SchemeKind)
 
     def one_unit(unit):
         idx, (scheme, size) = unit
@@ -391,32 +356,38 @@ def run_scheme_compare(cfg: RunConfig, out_dir=None) -> dict:
             values, bits, unit_name = _scheme_populations(scheme, cfg, spec, cells, pattern, rng)
             lrs, hrs = split_by_state(values, bits)
             if lrs.size == 0 or hrs.size == 0:
-                return idx, (scheme, size, float("nan"), float("nan"), 0, unit_name, "empty population")
+                return (scheme, size, float("nan"), float("nan"), 0, unit_name, "empty population")
             _, ber = best_threshold_ber(lrs, hrs)
             margin = float(lrs.min() / hrs.max()) if hrs.max() > 0 else float("inf")
-            return idx, (scheme, size, ber, margin, int(values.size), unit_name, "")
+            return (scheme, size, ber, margin, int(values.size), unit_name, "")
         except SolverConvergenceError as e:
-            return idx, (scheme, size, float("nan"), float("nan"), 0, "", str(e))
+            return (scheme, size, float("nan"), float("nan"), 0, "", str(e))
 
-    units = list(enumerate((s, n) for s in schemes for n in exp.scheme_sizes))
-    results = _map_units(one_unit, units, exp.workers)
-    rows_out = [r for _, r in sorted(results, key=lambda x: x[0])]
+    units = list(enumerate((s, n) for s in _SCHEMES for n in exp.scheme_sizes))
+    rows_out = _map_units(one_unit, units, exp.workers)
 
     first_failing: dict = {}
     for scheme, size, ber, *_ in rows_out:
         if np.isnan(ber) or ber > exp.ber_fail_threshold:
-            if scheme not in first_failing:
-                first_failing[scheme] = int(size)
-    csv_path, json_path = _out_paths(cfg, out_dir, "scheme-compare")
-    write_csv(csv_path,
-              ["scheme", "size", "best_ber", "margin_ratio", "samples", "unit", "note"],
-              rows_out)
-    summary = {
-        "experiment": "scheme-compare",
-        "seed": exp.master_seed,
+            first_failing.setdefault(scheme, int(size))
+    return emit(cfg, out_dir, "scheme-compare", {
         "sizes": list(exp.scheme_sizes),
         "first_failing_size": first_failing,
-        "config": config_echo(cfg),
-    }
-    write_summary_json(json_path, summary)
-    return summary
+    }, ("", ["scheme", "size", "best_ber", "margin_ratio", "samples", "unit", "note"], rows_out))
+
+
+# Figure of merit -------------------------------------------------------------------
+
+def run_fom_table(cfg: RunConfig, out_dir=None, banks: int = 1) -> dict:
+    """Recompute the read-technique comparison with the row readout split
+    into ``banks`` banks; its files are tagged with the bank count."""
+    rows = analytics.technique_fom_table(r_banks=banks)
+    return emit(cfg, out_dir, "fom-table", {
+        "banks": banks,
+        "all_match": all(r.matches_published for r in rows),
+        "rows": [dataclasses.asdict(r) for r in rows],
+    }, ("", ["technique", "readout_circuit", "locality_needed", "throughput",
+             "array_usage", "power_W", "fom_recomputed", "fom_published", "match"],
+        [(r.name, r.readout_circuit, r.locality_needed, r.throughput, r.array_usage,
+          r.reading_power, r.fom_recomputed, r.fom_published,
+          "MATCH" if r.matches_published else "MISMATCH") for r in rows]), tag=banks)

@@ -23,7 +23,6 @@ reads and clamped sessions alike sense currents with
 from __future__ import annotations
 
 import dataclasses
-from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
@@ -62,13 +61,6 @@ _CHORD_MAX_ITERS = 80
 # only ones that outlive their panel (arrays up to about 200x200); row reads
 # go ``solver._PANEL`` rows a batch.
 _BATCH_TARGET_FLOATS = 16_000_000
-
-
-class SchemeKind(Enum):
-    ROW_READOUT = "row-readout"
-    CONVENTIONAL = "conventional"
-    FLOATING_BITLINES = "floating-bitlines"
-    RESISTIVE_LOAD = "resistive-load"
 
 
 def midpoint_threshold(spec: CrossbarSpec, base: DeviceParams) -> float:

@@ -237,6 +237,9 @@ class TestCli:
         ("experiment.delta_v_grid=[-1e-3]", "mismatch"),
         ("experiment.r_s=0", "compare-schemes"),
         ("experiment.r_s=-5", "compare-schemes"),
+        ("experiment.ber_fail_threshold=.nan", "compare-schemes"),
+        ("experiment.ber_fail_threshold=-1", "compare-schemes"),
+        ("experiment.ber_fail_threshold=0.6", "compare-schemes"),
     ])
     def test_empty_campaign_is_a_config_error(self, tmp_path, capsys, override, command):
         size = ["--set", "crossbar.rows=8", "--set", "crossbar.cols=8"]
@@ -244,6 +247,29 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config" and err["where"] == "experiment"
         assert override.split(".")[1].split("=")[0] in err["message"]
+
+    @pytest.mark.parametrize("command,files", [
+        (["read-row", "--row", "2"], ["read-row-5.csv", "read-row-5.json"]),
+        (["map"], ["row-read-map-5.csv", "row-read-map-5-hist.csv", "row-read-map-5.json"]),
+        (["cdf"], ["cdf-conventional-5.csv", "cdf-conventional-5-cdf.csv",
+                   "cdf-conventional-5.json"]),
+        (["power-sweep"], ["power-sweep-5.csv", "power-sweep-5.json"]),
+        (["fom-table", "--banks", "2"], ["fom-table-2.csv", "fom-table-2.json"]),
+        (["mismatch"], ["mismatch-sweep-5.csv", "mismatch-sweep-5.json"]),
+        (["compare-schemes"], ["scheme-compare-5.csv", "scheme-compare-5.json"]),
+    ], ids=["read-row", "map", "cdf", "power-sweep", "fom-table", "mismatch", "compare-schemes"])
+    def test_every_command_writes_its_named_files(self, tmp_path, capsys, command, files):
+        # The file names and summary keys that the README and the benchmark read.
+        small = ["crossbar.rows=8", "crossbar.cols=8", "experiment.master_seed=5",
+                 "experiment.sample_cells=16", "experiment.backgrounds=2",
+                 "experiment.trials=1", "experiment.sizes=[8]",
+                 "experiment.scheme_sizes=[8]", "experiment.delta_v_grid=[2e-3]"]
+        assert run_cli([a for kv in small for a in ("--set", kv)] + command, tmp_path) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+        summary = json.loads((tmp_path / files[-1]).read_text())
+        assert summary["experiment"] == files[-1].rsplit("-", 1)[0]
+        assert "config" in summary and "version" in summary
+        assert summary.get("seed") == (5 if files[-1].endswith("-5.json") else None)
 
     def test_read_row_reads_the_same_array_as_map(self, tmp_path, capsys):
         size = ["--set", "crossbar.rows=16", "--set", "crossbar.cols=16"]

@@ -112,3 +112,37 @@ def test_every_private_name_is_read():
     dead = [f"{p.name}: {name}" for p in ALL_MODULES
             for name in private_definitions(p.read_text()) if name not in loaded]
     assert not dead, f"private names defined but never read: {dead}"
+
+
+# Every command writes its files through ``experiments.emit``, so the output
+# naming and summary envelope are decided in one place.
+WRITERS = {"write_csv", "write_summary_json", "default_output_dir"}
+
+
+def writer_calls(source: str) -> list[str]:
+    """Calls to the output writers, as ``definition: writer`` for the
+    top-level function or class (``<module>`` outside one) that makes each."""
+    calls = []
+    for node in ast.parse(source).body:
+        where = getattr(node, "name", "<module>")
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call):
+                name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                if name in WRITERS:
+                    calls.append(f"{where}: {name}")
+    return calls
+
+
+def test_checker_finds_writer_calls():
+    source = ("from .io import write_csv\nimport io\n\n"
+              "def emit(path):\n    write_csv(path, [], [])\n\n"
+              "def run(cfg):\n    def inner():\n        io.write_summary_json('s.json', {})\n"
+              "    return inner, write_csv\n\n"
+              "default_output_dir()\n")
+    assert writer_calls(source) == [
+        "emit: write_csv", "run: write_summary_json", "<module>: default_output_dir"]
+
+
+def test_only_emit_writes_output_files():
+    calls = {f"{p.name} {c}" for p in ALL_MODULES for c in writer_calls(p.read_text())}
+    assert calls == {f"experiments.py emit: {w}" for w in WRITERS}
