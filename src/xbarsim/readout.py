@@ -9,8 +9,9 @@ Two session classes reuse a single sparse factorization across many reads
 of the same sampled array.  ``RowReadSession`` serves every row read, with
 its bitlines clamped (current sensing), floating or loaded (voltage
 sensing): one matrix serves every selected row, and only the right-hand
-side changes.  Sinh rows of a clamped session iterate from the ideal-rail
-voltages on a frozen zero-bias Jacobian with true-residual verification.
+side changes.  Every clamped row starts at the ideal-rail voltages: a
+linear one takes one solve and a KCL check, a sinh one iterates on a frozen
+zero-bias Jacobian with true-residual verification.
 ``ConventionalSession`` takes one solve per distinct terminal line of a
 single-cell sweep, from which every cell's two-terminal effective
 resistance follows.  Both factor through ``solver.ReducedSystem``.
@@ -166,14 +167,25 @@ class RowReadSession:
 
     The fixed-node set of the bias does not depend on the selected row, so
     one ``ReducedSystem`` factorized at zero device bias serves every row.
-    Ohmic rows are solved and refined by it directly.  Sinh rows of a
-    clamped session start with every rail node at its line's voltage (the
-    ideal-rail solution) and iterate on that frozen Jacobian against the
-    true KCL residual until ``solver.KCL_TOL``, with a per-row exact Newton
+    Every row of a clamped session starts with each rail node at its line's
+    control-node voltage (the ideal-rail solution), so a correction holds
+    only the wire drops.  A linear clamped row then takes one solve and a
+    KCL check against ``solver.KCL_TOL``.  Its next correction would be
+    6e-16 V (128x128, double-sided) to 7e-14 V (256x256, single-sided),
+    above the voltages' rounding floor, yet each sensed node sits next to
+    its clamp: after one solve every sensed current is within half a
+    *sensing quantum* of the fully refined read (the largest conductance at
+    a bitline's control node times one ulp of the largest node voltage,
+    2.2e-17 A with 10-ohm wires).  Linear rows of floating or loaded
+    bitlines, which have no control voltage to start from, are solved and
+    refined by ``ReducedSystem.solve``.  Sinh rows of a clamped session
+    iterate from the ideal rail on the frozen Jacobian against the true KCL
+    residual until ``solver.KCL_TOL``, with a per-row exact Newton
     fallback, at the same hold voltage, if the iteration stalls.  Sinh rows
     of the other terminations take that Newton solve directly: their
     bitlines couple to the array only through high-resistance cells, so a
     residual of ``KCL_TOL`` still leaves their voltages microvolts off.
+    No state carries from one read to the next.
 
     ``row_currents`` reads ``solver._PANEL`` rows per batch, the width of
     one solve panel, so each residual, iterate and correction stays a few
@@ -212,27 +224,43 @@ class RowReadSession:
         for i in rows:
             if not (0 <= i < self.spec.rows):
                 raise IndexError(f"row {i} out of range for {self.spec.rows} rows")
+        if not rows:
+            return np.zeros((self.net.n_nodes, 0))
         v_b = self.spec.v_b if v_b is None else v_b
         k = np.arange(len(rows))
         wl_v = np.repeat((v_b + self.mismatch.wordline_dv)[:, None], len(rows), axis=1)
         wl_v[rows, k] = self.spec.v_dd
         bl = v_b + self.mismatch.bitline_dv if self.bitlines is None else self.net.bias.bl_v
         V = _line_voltages(self.net, wl_v, np.repeat(bl[:, None], len(rows), axis=1))
-        if self.cells.is_linear:
-            return self.system.solve(V)[0]
-        if self.bitlines is None:
+        if self.bitlines is not None:
+            if self.cells.is_linear:
+                return self.system.solve(V)[0]
+            return self._newton_rows(rows, V, k, v_b)
+        self._rail_start(V)
+        if not self.cells.is_linear:
             return self._solve_rows_chord(rows, V, v_b)
-        return self._newton_rows(rows, V, k, v_b)
+        # One solve from the ideal rail leaves every sensed current within
+        # half a sensing quantum of a refined read (see the class docstring).
+        if self.system.lu is not None:
+            V[self.system.unknown] -= self.system.solve_block(self.system.imbalance(V))
+        self.system.check(V)
+        return V
+
+    def _rail_start(self, V: np.ndarray) -> None:
+        """Set every rail node of the clamped panel V to its line's
+        control-node voltage, the ideal-rail solution, in place: an
+        n_nodes x len(rows) temporary would set peak memory."""
+        net, m, n = self.net, self.spec.rows, self.spec.cols
+        wl_v, bl_v = V[net.wl_attach.control_node], V[net.bl_attach.control_node]
+        if self.spec.r_wire > 0:
+            rails = V[:2 * m * n].reshape(2, m, n, V.shape[1])  # a view: V is C-ordered
+            rails[0] = wl_v[:, None]
+            rails[1] = bl_v[None]
+        else:
+            V[:m], V[m:m + n] = wl_v, bl_v
 
     def _solve_rows_chord(self, rows, V: np.ndarray, v_b: float) -> np.ndarray:
-        system, net = self.system, self.net
-        # Every rail node starts at its line's control-node voltage, filled
-        # in place: an n_nodes x len(rows) temporary would set peak memory.
-        wl_v, bl_v = V[net.wl_attach.control_node], V[net.bl_attach.control_node]
-        for j in range(self.spec.cols):
-            V[net.wl_nodes[:, j]] = wl_v
-        for i in range(self.spec.rows):
-            V[net.bl_nodes[i]] = bl_v
+        system = self.system
         # W, at first V itself, is updated in place; a column leaves it, into V, once converged.
         W, active = V, np.arange(V.shape[1])
         F = system.imbalance(W)

@@ -2,14 +2,15 @@
 
 The nodal system is assembled over all nodes, then fixed-voltage nodes are
 eliminated: ``ReducedSystem`` holds the remaining symmetric
-positive-definite conductance Laplacian, its sparse LU factor, and the one
-refinement rule every solve path ends with.  Residuals are evaluated in
-float64 branch form on the crossbar's grid (``node_imbalance``: wire
-segments between neighbouring rail nodes, devices between the wordline and
-bitline planes), which is accurate enough that no extended precision is
-needed.  Linear arrays use one factorization; sinh-device arrays use
-damped Newton iteration with the differential-conductance Jacobian,
-started on wired arrays from the ideal-rail solution (each line one node).
+positive-definite conductance Laplacian, its sparse LU factor, the one
+refinement rule every one-shot solve ends with, and the KCL check.
+Residuals are evaluated in float64 branch form on the crossbar's grid
+(``node_imbalance``: wire segments between neighbouring rail nodes, devices
+between the wordline and bitline planes), which is accurate enough that no
+extended precision is needed.  Linear arrays use one factorization;
+sinh-device arrays use damped Newton iteration with the
+differential-conductance Jacobian, started on wired arrays from the
+ideal-rail solution (each line one node).
 Sign convention: device current is positive from the wordline node to the
 bitline node; a node's KCL imbalance is the net current leaving it.
 """
@@ -24,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .crossbar import TERM_FLOATING, Network, build_network
+from .crossbar import TERM_FLOATING, TERM_RESISTIVE, Network, build_network
 
 
 class SingularNetworkError(ValueError):
@@ -236,8 +237,10 @@ def _dissection_order(rows: int, cols: int) -> np.ndarray:
 class ReducedSystem:
     """The nodal system of one network, reduced to its unknown nodes.
 
-    Owns the fixed/unknown partition, the LU factor of the unknown block
-    and the one refinement rule that finishes every solve.  Voltages are
+    Owns the fixed/unknown partition, the LU factor of the unknown block,
+    the one refinement rule that finishes every one-shot solve (``correct``)
+    and the KCL check (``check``) that ends ``solve`` and a clamped linear
+    row of a ``readout.RowReadSession``.  Voltages are
     full node vectors, or matrices with one column per solve: fixed entries
     are read, unknown entries are solved for.
 
@@ -346,16 +349,21 @@ class ReducedSystem:
             prev = step
         return V
 
-    def solve(self, V: np.ndarray) -> tuple[np.ndarray, float]:
-        """``correct`` V, then require the KCL residual within ``KCL_TOL``."""
-        V = self.correct(V)
-        residual = float(np.abs(self.imbalance(V)).max()) if self.unknown.size else 0.0
+    def check(self, V: np.ndarray) -> float:
+        """The KCL residual of V's unknowns, required within ``KCL_TOL``."""
+        F = self.imbalance(V)
+        residual = float(np.abs(F).max()) if F.size else 0.0
         if residual > KCL_TOL:
             raise SolverConvergenceError(
                 f"nodal residual {residual:.3e} A exceeds tolerance {KCL_TOL:.1e} A",
                 residual=residual, iterations=1,
             )
-        return V, residual
+        return residual
+
+    def solve(self, V: np.ndarray) -> tuple[np.ndarray, float]:
+        """``correct`` V, then ``check`` it."""
+        V = self.correct(V)
+        return V, self.check(V)
 
 
 def solve_linear(net: Network) -> Solution:
@@ -429,6 +437,13 @@ def bitline_currents(net: Network, v: np.ndarray, columns=None) -> np.ndarray:
 
     ``columns`` restricts the query (needed when other bitlines float);
     querying a floating column is an error since it has no sense path.
+
+    Only the sensed nodes' own branches are summed: a load's or driver's
+    boundary resistor, else (a direct clamp) the last bitline segment and
+    then the last-row device, or with ideal wires the column's devices in
+    cell order.  Each sensed node's imbalance is accumulated from zero in
+    ``node_imbalance``'s order, so the result has the same bits as the
+    negated residual at the control nodes, for O(N) work instead of O(MN).
     """
     att = net.bl_attach
     columns = (np.arange(net.spec.cols) if columns is None
@@ -437,7 +452,28 @@ def bitline_currents(net: Network, v: np.ndarray, columns=None) -> np.ndarray:
     if floating.any():
         j = int(columns[floating][0])
         raise ValueError(f"bitline {j} is floating: no sense path to measure current")
-    return -node_imbalance(net, v)[att.control_node[columns]]
+    m = net.spec.rows
+    leaving = np.zeros(columns.shape + v.shape[1:])
+    series = att.kind[columns] == TERM_RESISTIVE
+    c = columns[series]
+    g = att.conductance[c]
+    leaving[series] -= (g if v.ndim == 1 else g[:, None]) * (
+        v[att.attach_node[c]] - v[att.terminal_node[c]])
+    c = columns[~series]
+    if c.size:
+        end = net.bl_nodes[m - 1, c]
+        if net.spec.r_wire > 0:
+            out = leaving[~series]
+            if m > 1:
+                i_seg = v[net.bl_nodes[m - 2, c]] - v[end]
+                i_seg *= 1.0 / net.spec.r_wire
+                out -= i_seg
+            out -= net.cells.currents(net.active_params[m - 1, c], v[net.wl_nodes[m - 1, c]] - v[end])
+        else:
+            i_dev = net.cells.currents(net.active_params[:, c], v[:m, None] - v[None, end])
+            out = -np.cumsum(np.concatenate([-leaving[None, ~series], i_dev]), axis=0)[-1]
+        leaving[~series] = out
+    return -leaving
 
 
 def branch_power(net: Network, v: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ import xbarsim
 from xbarsim import solver
 from xbarsim.crossbar import (
     FLOATING,
+    TERM_FLOATING,
     BiasConfig,
     BiasMismatch,
     Clamp,
@@ -31,7 +32,7 @@ from xbarsim.crossbar import (
     row_read_bias,
 )
 from xbarsim.devices import CellGrid, LinearDeviceParams, NonlinearDeviceParams, VariationSpec
-from xbarsim.readout import ConventionalSession, RowReadSession
+from xbarsim.readout import ConventionalSession, RowReadSession, read_row
 from xbarsim.solver import (
     ReducedSystem,
     SolverConvergenceError,
@@ -153,6 +154,10 @@ def test_node_imbalance_matches_branch_by_branch_sum(
         want, size = _branch_sums(net, V)
         gap = np.abs(node_imbalance(net, V) - want)
         assert (gap <= 4 * np.finfo(float).eps * size).all()
+        # the sensed currents sum the control nodes' branches alone, bit for bit
+        sensed = np.flatnonzero(net.bl_attach.kind != TERM_FLOATING)
+        assert np.array_equal(bitline_currents(net, V, sensed),
+                              -node_imbalance(net, V)[net.bl_attach.control_node[sensed]])
 
 
 def test_floating_conventional_session_enforces_its_tolerance(monkeypatch):
@@ -190,6 +195,55 @@ def test_session_currents_near_long_double_reference():
         net = build_network(spec, pattern, cells, row_read_bias(spec, i))
         want = _reference_sensed(net)
         assert np.abs(got[i] - want.astype(float)).max() <= 5e-17
+
+
+def _sensing_quantum(net, V) -> float:
+    """The largest conductance of a branch at a bitline control node, times
+    the rounding step of the largest node voltage: the current one rail ulp
+    drives through a sensed node's branches."""
+    g = np.concatenate([net.wire_g, net.cells.conductances(net.active_params, 0.0).ravel()])
+    a, b = np.concatenate([net.wire_a, net.dev_a]), np.concatenate([net.wire_b, net.dev_b])
+    ctrl = net.bl_attach.control_node
+    return float(g[np.isin(a, ctrl) | np.isin(b, ctrl)].max() * np.spacing(np.abs(V).max()))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    rows=st.integers(17, 40),
+    cols=st.integers(1, 40),
+    r_wire=st.sampled_from([0.0, 10.0]),
+    r_driver=st.sampled_from([0.0, 25.0]),
+    double_sided=st.booleans(),
+    fill=st.sampled_from(["lrs", "hrs", "random"]),
+    with_mismatch=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_one_solve_session_within_a_sensing_quantum_of_refined_reads(
+    rows, cols, r_wire, r_driver, double_sided, fill, with_mismatch, seed
+):
+    # Clamped linear rows start at the ideal rail and take one solve; over
+    # maps of two or more panels each sensed current stays within one
+    # sensing quantum of the refined one-shot read, and every column within
+    # the KCL bound.
+    rng = np.random.default_rng(seed)
+    spec = CrossbarSpec(rows=rows, cols=cols, r_wire=r_wire, r_driver=r_driver,
+                        double_sided_clamps=double_sided)
+    if fill == "random":
+        pattern = random_pattern(rows, cols, rng)
+    else:
+        pattern = np.full((rows, cols), 1 if fill == "lrs" else 0, dtype=np.int8)
+    cells = CellGrid.sample(rows, cols, LinearDeviceParams(), VariationSpec(0.10, seed))
+    mismatch = None
+    if with_mismatch:
+        mismatch = BiasMismatch(rng.uniform(-2e-3, 2e-3, rows), rng.uniform(-2e-3, 2e-3, cols))
+    session = RowReadSession(spec, cells, pattern, mismatch)
+    got = session.row_currents(range(rows))
+    V = session.solve_rows(range(rows))
+    assert _kcl(session.net, V) <= KCL_BOUND
+    quantum = _sensing_quantum(session.net, V)
+    for i in range(rows):
+        want = read_row(spec, cells, pattern, i, mismatch)
+        assert np.abs(got[i] - want).max() <= quantum
 
 
 @settings(max_examples=80, deadline=None)
