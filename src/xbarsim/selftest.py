@@ -113,12 +113,26 @@ def power_balance(net, v) -> tuple[float, float]:
     """Tellegen check of one solve at node voltages v: branch dissipation
     minus source injection minus the power of the unknown nodes' residual
     currents, which is zero but for rounding, and the rounding bound of the
-    branch sum, n_branches * eps * sum |dv * i|."""
-    unknown = ~net.fixed_mask
-    p_residual = float(np.dot(v[unknown], node_imbalance(net, v)[unknown]))
+    sums it is formed from, each n_terms * eps * sum |term|: the branch sum
+    of dv * i; each node's sum of its deg branch currents, which that
+    node's |v| multiplies (a cell with a mV drop can carry more current
+    than one with the full read swing, so this term is not within the
+    branch sum's); and the fixed and the unknown nodes' sums of v *
+    imbalance."""
+    leaving = node_imbalance(net, v)
+    fixed = net.fixed_mask
+    p_residual = float(np.dot(v[~fixed], leaving[~fixed]))
     gap = abs(branch_power(net, v) - source_power(net, v) - p_residual)
     dv = branch_voltages(net, v)
-    bound = dv.size * np.finfo(float).eps * float(np.abs(dv * branch_currents_at(net, dv)).sum())
+    i = np.abs(branch_currents_at(net, dv))
+    ends = np.concatenate([net.wire_a, net.dev_a, net.wire_b, net.dev_b])
+    deg = np.bincount(ends, minlength=net.n_nodes)
+    i_node = np.bincount(ends, np.tile(i, 2), minlength=net.n_nodes)
+    p_node = np.abs(v * leaving)
+    bound = np.finfo(float).eps * (dv.size * float(np.dot(np.abs(dv), i))
+                                   + float(np.dot(np.abs(v), deg * i_node))
+                                   + fixed.sum() * float(p_node[fixed].sum())
+                                   + (~fixed).sum() * float(p_node[~fixed].sum()))
     return gap, bound
 
 

@@ -111,10 +111,30 @@ class TestPowerExact:
         net = build_network(spec, pattern, cells, row_read_bias(spec, 4))
         v = solve(net).node_voltages
         # branch dissipation = source injection + the residual currents'
-        # power, to the rounding of the branch sum
+        # power, to the rounding of the sums they are formed from
         gap, bound = power_balance(net, v)
         assert gap <= bound
         assert bound < 1e-13 * source_power(net, v)
+
+    @pytest.mark.parametrize("rows,seed,p_lrs,mismatched", [(1, 301, 0.01, False),
+                                                            (2, 24225, 0.5, True)])
+    def test_balance_bounds_the_node_sums_rounding(self, rows, seed, p_lrs, mismatched):
+        # All-fixed single-column reads whose gap the branch sum's rounding
+        # alone does not bound: 1.2 V and 0.7 V times a 0.4 nA cell current
+        # cancel in the source sum, and a mV-biased LRS cell out-carries the
+        # selected HRS cell in the bitline's node sum
+        rng = np.random.default_rng(seed)
+        spec = CrossbarSpec(rows=rows, cols=1, r_wire=0.0, r_driver=0.0)
+        pattern = random_pattern(rows, 1, rng, p_lrs)
+        cells = CellGrid.sample(rows, 1, LIN, VariationSpec(0.1, seed))
+        mismatch = (BiasMismatch(rng.uniform(-2e-3, 2e-3, rows), rng.uniform(-2e-3, 2e-3, 1))
+                    if mismatched else None)
+        net = build_network(spec, pattern, cells, row_read_bias(spec, 0, mismatch))
+        v = solve(net).node_voltages
+        gap, bound = power_balance(net, v)
+        assert gap <= bound
+        # a source power 1e-12 off would still exceed it
+        assert gap + 1e-12 * source_power(net, v) > bound
 
 
 @settings(max_examples=100, deadline=None)
