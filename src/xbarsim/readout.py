@@ -10,8 +10,9 @@ of the same sampled array.  ``RowReadSession`` serves every row read, with
 its bitlines clamped (current sensing), floating or loaded (voltage
 sensing): one matrix serves every selected row, and only the right-hand
 side changes.  Every clamped row starts at the ideal-rail voltages: a
-linear one takes one solve and a KCL check, a sinh one iterates on a frozen
-zero-bias Jacobian with true-residual verification.
+linear one takes one solve and a KCL check, a sinh one relaxes on the
+factored line blocks (``solver.LineBlocks``) to the rounding floor under the
+refinement rule of one-shot solves.
 ``ConventionalSession`` takes one solve per distinct terminal line of a
 single-cell sweep, from which every cell's two-terminal effective
 resistance follows.  Both factor through ``solver.ReducedSystem``.
@@ -57,7 +58,6 @@ from .solver import (
     solve_nonlinear,
 )
 
-_CHORD_MAX_ITERS = 80
 # ~128 MB: caps the conventional session's solved wordline-end columns, the
 # only ones that outlive their panel (arrays up to about 200x200); row reads
 # go ``solver._PANEL`` rows a batch.
@@ -166,7 +166,9 @@ class RowReadSession:
     ``bitline_currents_from`` return these sensed values.
 
     The fixed-node set of the bias does not depend on the selected row, so
-    one ``ReducedSystem`` factorized at zero device bias serves every row.
+    one ``ReducedSystem`` factorized at zero device bias serves every row:
+    an LU factor for linear cells, and for sinh cells of a clamped session
+    only ``solver.LineBlocks``, each line's tridiagonal block.
     Every row of a clamped session starts with each rail node at its line's
     control-node voltage (the ideal-rail solution), so a correction holds
     only the wire drops.  A linear clamped row then takes one solve and a
@@ -179,12 +181,16 @@ class RowReadSession:
     2.2e-17 A with 10-ohm wires).  Linear rows of floating or loaded
     bitlines, which have no control voltage to start from, are solved and
     refined by ``ReducedSystem.solve``.  Sinh rows of a clamped session
-    iterate from the ideal rail on the frozen Jacobian against the true KCL
-    residual until ``solver.KCL_TOL``, with a per-row exact Newton
-    fallback, at the same hold voltage, if the iteration stalls.  Sinh rows
-    of the other terminations take that Newton solve directly: their
-    bitlines couple to the array only through high-resistance cells, so a
-    residual of ``KCL_TOL`` still leaves their voltages microvolts off.
+    relax from the ideal rail on the line blocks against the true KCL
+    residual, ended by ``ReducedSystem.correct``'s rule at the rounding
+    floor (2-3 steps at 8x8 to 32x32, 5-6 at 256x256), so each current is
+    within a sensing quantum of the refined Newton read's, give or take a
+    few eps of the current where a device is a sensed node's only branch;
+    any column still above ``solver.KCL_TOL`` then takes a per-row exact
+    Newton solve at the same hold voltage.  Sinh rows of the other
+    terminations take that Newton solve directly: their bitlines couple to
+    the array only through high-resistance cells, so a residual of
+    ``KCL_TOL`` still leaves their voltages microvolts off.
     No state carries from one read to the next.
 
     ``row_currents`` reads ``solver._PANEL`` rows per batch, the width of
@@ -211,8 +217,11 @@ class RowReadSession:
         self.net = build_network(spec, self.pattern, cells,
                                  row_read_bias(spec, 0, self.mismatch, bitlines))
         self.system = ReducedSystem(self.net)
-        if cells.is_linear or bitlines is None:  # else no row uses the factor
-            self.system.factor(cells.conductances(self.net.active_params, 0.0))
+        g = cells.conductances(self.net.active_params, 0.0)
+        if cells.is_linear:
+            self.system.factor(g)
+        elif bitlines is None:  # else no row uses a factor
+            self.system.factor_lines(g)
 
     def solve_rows(self, rows, v_b: float | None = None) -> np.ndarray:
         """Full node-voltage matrix (n_nodes x len(rows)), one column per row read.
@@ -237,14 +246,17 @@ class RowReadSession:
                 return self.system.solve(V)[0]
             return self._newton_rows(rows, V, k, v_b)
         self._rail_start(V)
-        if not self.cells.is_linear:
-            return self._solve_rows_chord(rows, V, v_b)
-        # One solve from the ideal rail leaves every sensed current within
-        # half a sensing quantum of a refined read (see the class docstring).
-        if self.system.lu is not None:
-            V[self.system.unknown] -= self.system.solve_block(self.system.imbalance(V))
-        self.system.check(V)
-        return V
+        if self.cells.is_linear:
+            # One solve from the ideal rail leaves every sensed current within
+            # half a sensing quantum of a refined read (see the class docstring).
+            if self.system.lu is not None:
+                V[self.system.unknown] -= self.system.solve_block(self.system.imbalance(V))
+            self.system.check(V)
+            return V
+        self.system.correct(V)
+        F = self.system.imbalance(V)
+        over = np.flatnonzero(np.abs(F).max(axis=0) > solver.KCL_TOL) if F.size else ()
+        return self._newton_rows(rows, V, over, v_b)
 
     def _rail_start(self, V: np.ndarray) -> None:
         """Set every rail node of the clamped panel V to its line's
@@ -258,29 +270,6 @@ class RowReadSession:
             rails[1] = bl_v[None]
         else:
             V[:m], V[m:m + n] = wl_v, bl_v
-
-    def _solve_rows_chord(self, rows, V: np.ndarray, v_b: float) -> np.ndarray:
-        system = self.system
-        # W, at first V itself, is updated in place; a column leaves it, into V, once converged.
-        W, active = V, np.arange(V.shape[1])
-        F = system.imbalance(W)
-        last = np.inf
-        for it in range(_CHORD_MAX_ITERS):
-            res_cols = np.abs(F).max(axis=0) if F.size else np.zeros(len(active))
-            keep = res_cols > solver.KCL_TOL
-            if not keep.all():
-                if W is not V:
-                    V[:, active[~keep]] = W[:, ~keep]
-                if not keep.any():
-                    return V
-                active, W, F = active[keep], W[:, keep], F[:, keep]
-            worst = res_cols[keep].max()
-            if it > 6 and worst > 0.5 * last:
-                break  # frozen-Jacobian iteration stalled; fall back per row
-            last = worst
-            W[system.unknown] -= system.solve_block(F)
-            F = system.imbalance(W)
-        return self._newton_rows(rows, V, active, v_b)
 
     def _newton_rows(self, rows, V: np.ndarray, cols, v_b: float) -> np.ndarray:
         """Exact Newton solve of each column c in ``cols`` of V, the read of

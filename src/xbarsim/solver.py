@@ -10,7 +10,9 @@ between the wordline and bitline planes), which is accurate enough that no
 extended precision is needed.  Linear arrays use one factorization;
 sinh-device arrays use damped Newton iteration with the
 differential-conductance Jacobian, started on wired arrays from the
-ideal-rail solution (each line one node).
+ideal-rail solution (each line one node).  Clamped sinh row sessions relax
+on ``LineBlocks``, each line's tridiagonal block, instead of a full
+factor.
 Sign convention: device current is positive from the wordline node to the
 bitline node; a node's KCL imbalance is the net current leaving it.
 """
@@ -50,6 +52,9 @@ MAX_NEWTON_ITERS = 50
 _MAX_HALVINGS = 20
 # A sinh network's last Newton factor shrinks a soft mode (a line floating behind
 # high-resistance cells) by only 0.1-0.3 a step: the floor can take 30 steps.
+# Line relaxation of sinh session rows takes 2-9, and 30 or more only with cells
+# a thousand times stiffer (k_on = 1e-5 at 128x128); a row the cap leaves above
+# KCL_TOL takes per-row Newton.
 _REFINE_STEPS = 40
 _DISSECTION_LEAF = 64  # nodes per block that nested dissection leaves whole
 _PANEL = 16  # right-hand-side columns per SuperLU solve (see ReducedSystem)
@@ -234,13 +239,97 @@ def _dissection_order(rows: int, cols: int) -> np.ndarray:
     return order
 
 
+class LineBlocks:
+    """T, the Jacobian at device conductances ``device_g`` with the device
+    couplings between the wordline and bitline planes removed, factored
+    line by line.
+
+    In T each wordline and each bitline is a chain of its rail nodes; each
+    node keeps its device and boundary-resistor conductance on the
+    diagonal, and a fixed node is an identity row cut from its chain.  With
+    ``r_wire = 0`` each line is one node and T is diagonal.  T is symmetric
+    positive definite and tridiagonal, so it factors as L D L' in O(nodes),
+    by the recurrence of LAPACK ``pttrf``, and ``relax`` solves with it by
+    that of ``pttrs``.  Both sweep along the chains with every line, and
+    every solve column, at once.  ``pttrs`` itself takes one solve
+    column's chains after another, bound by its recurrence's latency, and
+    needs each plane transposed into chain order and back: a step with it
+    took 37-39 ms against 19 ms at 256x256, and 7 against 4.5 ms at
+    128x128 (16 columns, one BLAS thread), for the same bits.
+
+    A relaxation step with T (R. S. Varga, *Matrix Iterative Analysis*,
+    1962, line relaxation) leaves only the device coupling, so it contracts
+    an error by about a cell's zero-bias conductance over a line's
+    softest-mode stiffness: sinh cells (k_on * a = 3e-8 S) on 10-ohm lines
+    reach the rounding floor in 2-3 steps at 8x8 to 32x32, 5-6 at 256x256
+    and 7-9 at 512x512.  For 1-megaohm linear cells (1e-6 S) the ratio is about 30
+    times larger, so linear reads keep the full factor.
+    """
+
+    def __init__(self, net: Network, device_g: np.ndarray):
+        self.shape, self.wired = (net.spec.rows, net.spec.cols), net.spec.r_wire > 0
+        m, n = self.shape
+        g = np.asarray(device_g, dtype=float).ravel()
+        ends = np.concatenate([net.wire_a, net.wire_b, net.dev_a, net.dev_b])
+        diag = np.bincount(ends, np.concatenate([net.wire_g, net.wire_g, g, g]),
+                           minlength=net.n_nodes)
+        # Every line's nodes in one array, chain position by line: the M
+        # wordlines, then the N bitlines, the shorter chains padded with
+        # identity rows, so one sweep along the first axis serves them all.
+        nodes = np.full((max(m, n) if self.wired else 1, m + n), -1)
+        for plane, where in self._planes(np.arange(net.n_nodes)[:, None]):
+            nodes[where] = plane[..., 0]
+        fixed = (nodes < 0) | net.fixed_mask[nodes]
+        D = np.where(fixed, 1.0, diag[nodes])
+        g_seg = 1.0 / net.spec.r_wire if self.wired else 0.0
+        E = np.where(fixed[:-1] | fixed[1:], 0.0, -g_seg)  # E[i]: chain nodes i and i + 1
+        L = np.empty(E.shape)
+        for i in range(len(E)):
+            L[i] = E[i] / D[i]
+            D[i + 1] -= L[i] * E[i]
+        self.D, self.L = D[..., None], L[..., None]
+        self.fixed = np.flatnonzero(net.fixed_mask)
+
+    def _planes(self, A: np.ndarray) -> list:
+        """Each rail plane of A (nodes x columns) as a view with each line's
+        nodes along the first axis, and where it sits in the chain array."""
+        m, n = self.shape
+        if not self.wired:
+            return [(A[None, :m + n], np.s_[:, :])]
+        grid = A[:2 * m * n].reshape((2, m, n) + A.shape[1:], copy=False)
+        return [(grid[0].transpose(1, 0, 2), np.s_[:n, :m]), (grid[1], np.s_[:m, m:])]
+
+    def relax(self, V: np.ndarray, F: np.ndarray) -> float:
+        """One relaxation step of the solves in V's columns, in place, from
+        their full-node imbalance F, whose fixed entries it zeroes: the
+        correction T^-1 F leaves every fixed node where it is.  Returns the
+        correction's largest entry."""
+        F[self.fixed] = 0.0
+        X = np.zeros(self.D.shape[:2] + (V.shape[1],))
+        for plane, where in self._planes(F):
+            X[where] = plane
+        tmp = np.empty(X.shape[1:])
+        for i in range(len(self.L)):
+            np.multiply(self.L[i], X[i], out=tmp)
+            X[i + 1] -= tmp
+        X /= self.D
+        for i in range(len(self.L) - 1, -1, -1):
+            np.multiply(self.L[i], X[i + 1], out=tmp)
+            X[i] -= tmp
+        for plane, where in self._planes(V):
+            plane -= X[where]
+        return max(float(X.max()), float(-X.min()))
+
+
 class ReducedSystem:
     """The nodal system of one network, reduced to its unknown nodes.
 
-    Owns the fixed/unknown partition, the LU factor of the unknown block,
-    the one refinement rule that finishes every one-shot solve (``correct``)
-    and the KCL check (``check``) that ends ``solve`` and a clamped linear
-    row of a ``readout.RowReadSession``.  Voltages are
+    Owns the fixed/unknown partition, the LU factor of the unknown block
+    (or, for a clamped sinh row session, the ``LineBlocks`` factor in its
+    place), the one refinement rule that finishes every one-shot solve and
+    every clamped sinh session row (``correct``) and the KCL check
+    (``check``) that ends ``solve`` and a clamped linear row of a
+    ``readout.RowReadSession``.  Voltages are
     full node vectors, or matrices with one column per solve: fixed entries
     are read, unknown entries are solved for.
 
@@ -280,6 +369,7 @@ class ReducedSystem:
                  else np.arange(net.n_nodes))  # terminal nodes, not dissected, are fixed
         self.unknown = order[~net.fixed_mask[order]]
         self.lu = None
+        self.lines = None
 
     def factor(self, device_g: np.ndarray) -> None:
         """Factorize the unknown block of the admittance at these device conductances."""
@@ -293,6 +383,12 @@ class ReducedSystem:
                                 options=dict(SymmetricMode=True))
             if trim is not None:
                 trim(0)
+
+    def factor_lines(self, device_g: np.ndarray) -> None:
+        """Factor ``LineBlocks`` at these device conductances, which
+        ``correct`` then relaxes with in place of an LU factor."""
+        if self.unknown.size:
+            self.lines = LineBlocks(self.net, device_g)
 
     def solve_block(self, B) -> np.ndarray:
         """Solve the factored block against B, a vector or a matrix with one
@@ -335,14 +431,21 @@ class ReducedSystem:
         The first correction has no ratio, so the prediction never stops
         the loop there: a direct solve that skipped refinement would move
         row-read currents by up to 3e-6 relative.
+
+        With a ``LineBlocks`` factor (``factor_lines``) each correction is a
+        line relaxation step, taken on the whole rail planes from the full
+        node imbalance, and the same three tests end it.
         """
-        if self.lu is None:
+        if self.lu is None and self.lines is None:
             return V
         prev = np.inf
         for _ in range(_REFINE_STEPS):
-            delta = self.solve_block(self.imbalance(V))
-            V[self.unknown] -= delta
-            step = np.abs(delta).max()
+            if self.lines is not None:
+                step = self.lines.relax(V, node_imbalance(self.net, V))
+            else:
+                delta = self.solve_block(self.imbalance(V))
+                V[self.unknown] -= delta
+                step = np.abs(delta).max()
             floor = np.spacing(max(V.max(), -V.min()))
             if step <= floor or step >= prev or (prev < np.inf and step * step <= floor * prev):
                 break
@@ -385,7 +488,9 @@ def solve_nonlinear(net: Network) -> Solution:
     (the hold voltage for read configurations).  Each full Newton step is
     halved until the residual falls, so large initial sinh arguments cannot
     run away.  The converged iterate is finished by the shared refinement
-    with the last Jacobian factor.
+    with the last Jacobian factor, or with one factored at the start when
+    the start already meets ``KCL_TOL``: a 31x1 array with line offsets
+    starts within 1e-13 A of KCL, yet its HRS reads sit up to 7% off.
     """
     if net.cells.is_linear:
         raise TypeError("solve_nonlinear requires nonlinear device parameters")
@@ -421,6 +526,8 @@ def solve_nonlinear(net: Network) -> Solution:
                 f"(final residual {res:.3e} A)",
                 residual=res, iterations=MAX_NEWTON_ITERS,
             )
+    if system.lu is None and system.unknown.size:  # the start met the KCL bound: refine it all the same
+        system.factor(net.cells.conductances(net.active_params, _device_dv(net, v)).ravel())
     v, residual = system.solve(v)
     return Solution(v, residual, iterations)
 

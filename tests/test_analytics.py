@@ -177,11 +177,7 @@ def test_power_conserved_on_edge_geometries(rows, cols, r_wire, r_driver, double
         one_shot.append(branch_power(net, v))
     if session is not None:
         got = branch_power(session.net, session.solve_rows(range(rows)))
-        # Sinh rows of a clamped session end their chord iteration at the KCL
-        # bound, not at the rounding floor: over 8667 random rows of this kind
-        # their power was up to 1.4e-10 off the Newton solve's.
-        chord = base is NON and read in ("clamped", "mismatch")
-        np.testing.assert_allclose(got, one_shot, rtol=1e-9 if chord else 1e-12, atol=0)
+        np.testing.assert_allclose(got, one_shot, rtol=1e-12, atol=0)
 
 
 class TestFom:

@@ -84,6 +84,21 @@ def _count_superlu_columns(session: ConventionalSession | RowReadSession) -> lis
     return solved
 
 
+def _count_line_steps(session: RowReadSession) -> list[tuple[int, float]]:
+    """Wrap a clamped sinh session's line relaxation; the returned list
+    collects the number of columns and the correction size of every step."""
+    steps = []
+    relax = session.system.lines.relax
+
+    def counting(V, F):
+        step = relax(V, F)
+        steps.append((V.shape[1], step))
+        return step
+
+    session.system.lines.relax = counting
+    return steps
+
+
 class TestMidpointThreshold:
     def test_linear_paper_values(self):
         spec = CrossbarSpec(rows=2, cols=2)
@@ -407,7 +422,7 @@ class TestRowReadSession:
     def test_session_matches_one_shot_read(self, base, term, geometry):
         # Linear rows match the direct solve of each row's network; sinh rows
         # of floating or loaded bitlines are that network's Newton solve, and
-        # clamped sinh rows iterate to the KCL bound.
+        # clamped sinh rows relax on the line blocks to the rounding floor.
         spec = CrossbarSpec(**GEOMETRIES[geometry])
         m, n = spec.rows, spec.cols
         pattern = random_pattern(m, n, np.random.default_rng(17))
@@ -434,13 +449,15 @@ class TestRowReadSession:
 
     @pytest.mark.parametrize("base", [LIN, NON])
     def test_row_map_solves_in_panels(self, base):
-        # 40 rows read as panels of 16, 16 and 8: no SuperLU call is wider
+        # 40 rows read as panels of 16, 16 and 8: no SuperLU call (linear) or
+        # line relaxation step (sinh) is wider
         spec = CrossbarSpec(rows=40, cols=40, r_wire=10.0)
         pattern = random_pattern(40, 40, np.random.default_rng(43))
         cells = CellGrid.sample(40, 40, base, VariationSpec(0.1, 43))
         session = RowReadSession(spec, cells, pattern)
-        panels = _count_superlu_columns(session)
+        solved = _count_superlu_columns(session) if base is LIN else _count_line_steps(session)
         got = session.row_currents(range(40))
+        panels = solved if base is LIN else [width for width, _ in solved]
         assert max(panels) == solver._PANEL and 8 in panels
         for i in (0, 15, 16, 31, 32, 39):
             want = read_row(spec, cells, pattern, i)
@@ -505,32 +522,45 @@ class TestRowReadSession:
         leaving = node_imbalance(session.net, V)[~session.net.fixed_mask]
         assert np.abs(leaving).max() <= solver.KCL_TOL
 
-    def test_sinh_session_takes_two_chord_passes(self):
-        # Rail nodes start at their line's voltage, so a 32x32 row map
-        # reaches the KCL bound in two frozen-Jacobian passes, not three.
+    def test_sinh_session_relaxes_on_line_blocks(self):
+        # A clamped sinh session holds no SuperLU factor: from the ideal rail
+        # a 32x32 row map reaches the rounding floor in three line steps.
         spec = CrossbarSpec(rows=32, cols=32, r_wire=10.0)
         pattern = random_pattern(32, 32, np.random.default_rng(9))
         cells = CellGrid.sample(32, 32, NON, VariationSpec(0.1, 9))
         session = RowReadSession(spec, cells, pattern)
-        passes = _count_solved_columns(session)
+        assert session.system.lu is None
+        steps = _count_line_steps(session)
         V = session.solve_rows(range(32))
-        assert len(passes) == 2 and passes[0] == 32
+        assert len(steps) <= 3 and {width for width, _ in steps} == {32}
+        # the last correction, times its contraction, predicts the floor
+        (_, before), (_, last) = steps[-2:]
+        assert last * last / before <= np.spacing(np.abs(V).max())
         leaving = node_imbalance(session.net, V)[~session.net.fixed_mask]
         assert np.abs(leaving).max() <= solver.KCL_TOL
 
     def test_chord_fallback_keeps_the_bias_override(self, monkeypatch):
-        # With no chord pass allowed every clamped row falls back to an
-        # exact Newton solve, the one every floating or loaded sinh row
-        # takes; each must use the session's bitlines and the overriding
-        # hold voltage.
+        # With no refinement step allowed every clamped row is left above the
+        # KCL bound and falls back to an exact Newton solve, the one every
+        # floating or loaded sinh row takes; each must use the session's
+        # bitlines and the overriding hold voltage.
         spec = CrossbarSpec(rows=8, cols=8, r_wire=10.0)
         pattern = random_pattern(8, 8, np.random.default_rng(31))
         cells = CellGrid.sample(8, 8, NON, VariationSpec(0.1, 31))
-        monkeypatch.setattr(readout, "_CHORD_MAX_ITERS", 0)
+        monkeypatch.setattr(solver, "_REFINE_STEPS", 0)
         spec_b = dataclasses.replace(spec, v_b=0.5)
+        fallbacks = []
+
+        def newton(net):
+            fallbacks.append(net)
+            return solver.solve_nonlinear(net)
+
+        monkeypatch.setattr(readout, "solve_nonlinear", newton)
         for bitlines in TERMINATIONS.values():
             session = RowReadSession(spec, cells, pattern, bitlines=bitlines)
+            fallbacks.clear()
             V = session.solve_rows([0, 5], v_b=0.5)
+            assert len(fallbacks) == 2
             got = session.bitline_currents_from(V)
             for k, i in enumerate((0, 5)):
                 if bitlines is None:

@@ -200,11 +200,44 @@ def test_session_currents_near_long_double_reference():
 def _sensing_quantum(net, V) -> float:
     """The largest conductance of a branch at a bitline control node, times
     the rounding step of the largest node voltage: the current one rail ulp
-    drives through a sensed node's branches."""
-    g = np.concatenate([net.wire_g, net.cells.conductances(net.active_params, 0.0).ravel()])
+    drives through a sensed node's branches.  A device counts with its
+    largest differential conductance over V's columns."""
+    dv = (V[net.dev_a] - V[net.dev_b]).reshape(net.cells.shape + (-1,))
+    g_dev = net.cells.conductances(net.active_params[..., None], dv).max(axis=-1)
+    g = np.concatenate([net.wire_g, g_dev.ravel()])
     a, b = np.concatenate([net.wire_a, net.dev_a]), np.concatenate([net.wire_b, net.dev_b])
     ctrl = net.bl_attach.control_node
     return float(g[np.isin(a, ctrl) | np.isin(b, ctrl)].max() * np.spacing(np.abs(V).max()))
+
+
+def _sample_array(rows, cols, base, fill, with_mismatch, seed):
+    """Pattern, cells and mismatch of a test array: ``fill`` 'lrs', 'hrs'
+    or 'random', and with random line offsets of up to 2 mV."""
+    rng = np.random.default_rng(seed)
+    if fill == "random":
+        pattern = random_pattern(rows, cols, rng)
+    else:
+        pattern = np.full((rows, cols), 1 if fill == "lrs" else 0, dtype=np.int8)
+    cells = CellGrid.sample(rows, cols, base, VariationSpec(0.10, seed))
+    mismatch = None
+    if with_mismatch:
+        mismatch = BiasMismatch(rng.uniform(-2e-3, 2e-3, rows), rng.uniform(-2e-3, 2e-3, cols))
+    return pattern, cells, mismatch
+
+
+def _assert_session_within_a_quantum(spec, pattern, cells, mismatch, rows, eps_of_current=0):
+    """Each clamped session current of ``rows`` lies within one sensing
+    quantum, plus ``eps_of_current`` times eps of the current, of the
+    refined one-shot read, and each column within the KCL bound."""
+    session = RowReadSession(spec, cells, pattern, mismatch)
+    got = session.row_currents(rows)
+    V = session.solve_rows(rows)
+    assert _kcl(session.net, V) <= KCL_BOUND
+    quantum = _sensing_quantum(session.net, V)
+    for k, i in enumerate(rows):
+        want = read_row(spec, cells, pattern, i, mismatch)
+        bound = quantum + eps_of_current * np.finfo(float).eps * np.abs(want)
+        assert (np.abs(got[k] - want) <= bound).all()
 
 
 @settings(max_examples=25, deadline=None)
@@ -225,25 +258,93 @@ def test_one_solve_session_within_a_sensing_quantum_of_refined_reads(
     # maps of two or more panels each sensed current stays within one
     # sensing quantum of the refined one-shot read, and every column within
     # the KCL bound.
-    rng = np.random.default_rng(seed)
     spec = CrossbarSpec(rows=rows, cols=cols, r_wire=r_wire, r_driver=r_driver,
                         double_sided_clamps=double_sided)
-    if fill == "random":
-        pattern = random_pattern(rows, cols, rng)
-    else:
-        pattern = np.full((rows, cols), 1 if fill == "lrs" else 0, dtype=np.int8)
-    cells = CellGrid.sample(rows, cols, LinearDeviceParams(), VariationSpec(0.10, seed))
-    mismatch = None
-    if with_mismatch:
-        mismatch = BiasMismatch(rng.uniform(-2e-3, 2e-3, rows), rng.uniform(-2e-3, 2e-3, cols))
-    session = RowReadSession(spec, cells, pattern, mismatch)
-    got = session.row_currents(range(rows))
-    V = session.solve_rows(range(rows))
-    assert _kcl(session.net, V) <= KCL_BOUND
-    quantum = _sensing_quantum(session.net, V)
-    for i in range(rows):
-        want = read_row(spec, cells, pattern, i, mismatch)
-        assert np.abs(got[i] - want).max() <= quantum
+    pattern, cells, mismatch = _sample_array(rows, cols, LinearDeviceParams(), fill,
+                                             with_mismatch, seed)
+    _assert_session_within_a_quantum(spec, pattern, cells, mismatch, list(range(rows)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.integers(1, 32),
+    cols=st.integers(1, 32),
+    r_wire=st.sampled_from([0.0, 10.0]),
+    r_driver=st.sampled_from([0.0, 25.0]),
+    double_sided=st.booleans(),
+    fill=st.sampled_from(["lrs", "hrs", "random"]),
+    with_mismatch=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_sinh_session_within_a_sensing_quantum_of_refined_reads(
+    rows, cols, r_wire, r_driver, double_sided, fill, with_mismatch, seed
+):
+    # Clamped sinh rows relax on the line blocks from the ideal rail to the
+    # rounding floor; each sensed current stays within one sensing quantum
+    # of the refined Newton read, plus 4 eps of the current for the
+    # rounding of the two reads' own device-current evaluations.  That term
+    # shows only where a sensed node's one branch is a sinh device (one
+    # row, direct clamps): two reads whose voltages sit a rail ulp apart
+    # then differ by a full quantum and up to 1.9 eps of the current (3000
+    # such arrays).
+    spec = CrossbarSpec(rows=rows, cols=cols, r_wire=r_wire, r_driver=r_driver,
+                        double_sided_clamps=double_sided)
+    pattern, cells, mismatch = _sample_array(rows, cols, NonlinearDeviceParams(), fill,
+                                             with_mismatch, seed)
+    _assert_session_within_a_quantum(spec, pattern, cells, mismatch, list(range(rows)),
+                                     eps_of_current=4)
+
+
+@pytest.mark.parametrize("geometry", [
+    dict(rows=7, cols=6), dict(rows=7, cols=6, r_driver=25.0, double_sided_clamps=True),
+    dict(rows=7, cols=6, r_wire=0.0, r_driver=25.0), dict(rows=1, cols=9), dict(rows=9, cols=1),
+    dict(rows=1, cols=1, r_driver=25.0),
+])
+def test_line_blocks_solve_the_jacobian_without_device_couplings(geometry):
+    # Checked against a dense solve of T: the zero-bias Jacobian with the
+    # off-diagonal device entries removed and the fixed nodes as identity
+    # rows, against a random imbalance that is zero at the fixed nodes.
+    spec = CrossbarSpec(**geometry)
+    m, n = spec.rows, spec.cols
+    pattern, cells, _ = _sample_array(m, n, NonlinearDeviceParams(), "random", False, 47)
+    net = build_network(spec, pattern, cells, row_read_bias(spec, 0))
+    g = cells.conductances(net.active_params, 0.0)
+    T = assemble_admittance(net, g).toarray()
+    T[net.dev_a, net.dev_b] = T[net.dev_b, net.dev_a] = 0.0
+    fixed = net.fixed_mask
+    T[fixed], T[:, fixed] = 0.0, 0.0
+    T[fixed, fixed] = 1.0
+    F = np.random.default_rng(47).standard_normal((net.n_nodes, 3))
+    F[fixed] = 0.0
+    V = np.zeros((net.n_nodes, 3))
+    step = solver.LineBlocks(net, g).relax(V, F.copy())
+    want = np.linalg.solve(T, F)
+    np.testing.assert_allclose(-V, want, rtol=1e-12, atol=1e-15 * np.abs(want).max())
+    assert step == np.abs(V).max()
+
+
+def test_newton_refines_a_start_within_the_kcl_bound():
+    # Row 4 of this all-HRS column with line offsets starts within KCL_TOL at
+    # the ideal rail, yet there its sensed current is 1% off; the Newton
+    # solve refines it all the same.
+    spec = CrossbarSpec(rows=5, cols=1, double_sided_clamps=True)
+    pattern, cells, mismatch = _sample_array(5, 1, NonlinearDeviceParams(), "hrs", True, 49297)
+    net = build_network(spec, pattern, cells, row_read_bias(spec, 4, mismatch))
+    start = solver._ideal_rail_start(net)
+    assert _kcl(net, start) <= KCL_BOUND
+    v = solve(net).node_voltages
+    want = _reference_sensed(net).astype(float)
+    assert np.abs(bitline_currents(net, start) / want - 1).max() > 1e-3
+    assert np.abs(bitline_currents(net, v) - want).max() <= _sensing_quantum(net, v[:, None])
+
+
+def test_stiff_sinh_session_within_a_sensing_quantum_of_refined_reads():
+    # Cells a hundred times stiffer contract each line step about a hundred
+    # times more slowly; the rows still reach the refined reads.
+    spec = CrossbarSpec(rows=64, cols=64)
+    pattern, cells, mismatch = _sample_array(64, 64, NonlinearDeviceParams(k_on=1e-6),
+                                             "random", True, 64)
+    _assert_session_within_a_quantum(spec, pattern, cells, mismatch, [0, 17, 31, 32, 50, 63])
 
 
 @settings(max_examples=80, deadline=None)
