@@ -27,25 +27,19 @@ DEFAULT_CELL_AREA_UM2 = 1.0 / 6400.0  # um^2 per bit
 
 # Power -------------------------------------------------------------------------
 
-def _cell_read_power(delta_v: float, vals: np.ndarray, a: float | None) -> np.ndarray:
-    """Per-cell wire-free read power: ohmic resistances (``a`` None) or sinh k."""
-    return delta_v**2 / vals if a is None else vals * delta_v * np.sinh(a * delta_v)
-
-
 def power_row_approx(spec: CrossbarSpec, pattern: np.ndarray, cells: CellGrid, i: int) -> float:
     """Read power of driving row i, ignoring wire resistance (realized cells)."""
     if not (0 <= i < spec.rows):
         raise IndexError(f"row {i} out of range")
     row_vals = np.where(pattern[i] == LRS, cells.on_values[i], cells.off_values[i])
-    a = None if cells.is_linear else cells.base.a
-    return float(np.sum(_cell_read_power(spec.v_dd - spec.v_b, row_vals, a)))
+    dv = spec.v_dd - spec.v_b
+    return float(np.sum(dv * cells.currents(row_vals, dv)))
 
 
 def power_rows_approx(spec: CrossbarSpec, pattern: np.ndarray, cells: CellGrid) -> np.ndarray:
     """``power_row_approx`` of every row at once, one entry per row."""
-    vals = cells.active_params(pattern)
-    a = None if cells.is_linear else cells.base.a
-    return np.sum(_cell_read_power(spec.v_dd - spec.v_b, vals, a), axis=1)
+    dv = spec.v_dd - spec.v_b
+    return np.sum(dv * cells.currents(cells.active_params(pattern), dv), axis=1)
 
 
 # Figure of merit ----------------------------------------------------------------

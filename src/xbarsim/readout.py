@@ -27,7 +27,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-import scipy.sparse as sp
 # Unused here, but kept: the layer tracer in ``perfbench/layers.py`` wraps
 # SuperLU through each traced module's ``spla`` attribute.
 import scipy.sparse.linalg as spla  # noqa: F401
@@ -308,12 +307,16 @@ class ConventionalSession:
     to the line terminals (Klein & Randic, J. Math. Chem. 12, 1993).  The
     session network's only fixed node is that ground, so the grounded
     Laplacian is the unknown block of its ``ReducedSystem``.  One
-    factorization and one back-substitution per distinct wordline and
-    bitline answer every cell, or one per cell when the cells are fewer
+    factorization answers every cell, with one back-substitution per
+    distinct wordline and bitline end, each a unit current into the ground,
+    or one per cell, a unit current from p to q, when the cells are fewer
     than their terminals or the solved wordline-end columns, which outlive
-    their panel, would exceed ``_BATCH_TARGET_FLOATS``.  The branch-form
-    residual of those solves corrects each resistance and, scaled by the
-    cell's current, is checked against ``solver.KCL_TOL``.
+    their panel, would exceed ``_BATCH_TARGET_FLOATS``.  The two modes
+    differ only in the columns they solve and the columns each cell reads;
+    ``_pair_resistances`` takes both as index arrays and ends in one
+    formula.  The branch-form residual of those solves corrects each
+    resistance and, scaled by the cell's current, is checked against
+    ``solver.KCL_TOL``.
     """
 
     def __init__(self, spec: CrossbarSpec, cells: CellGrid, pattern: np.ndarray):
@@ -361,24 +364,18 @@ class ConventionalSession:
                              f"{self.spec.rows}x{self.spec.cols}")
         p, q = self._p[ii], self._q[jj]
         p_terms, q_terms = np.unique(p), np.unique(q[q >= 0])
-        n_p, n_t = p_terms.size, p_terms.size + q_terms.size
-        n_red = self.system.unknown.size
-        if n_t <= len(cells_ij) and n_p * n_red <= _BATCH_TARGET_FLOATS:
-            B = sp.csc_matrix((np.ones(n_t), (np.concatenate([p_terms, q_terms]), np.arange(n_t))),
-                              shape=(n_red, n_t))
-            z_diag, z_cross, res = self._pair_resistances(B, n_p)
+        n_p = p_terms.size
+        if (n_p + q_terms.size <= len(cells_ij)
+                and n_p * self.system.unknown.size <= _BATCH_TARGET_FLOATS):
+            # wordline ends, then bitline ends, each to the ground
+            plus = np.concatenate([p_terms, q_terms])
+            minus = np.full(plus.size, -1)
             a = np.searchsorted(p_terms, p)
-            b = np.where(q >= 0, n_p + np.searchsorted(q_terms, q), n_t)
-            r_eff = z_diag[a] + z_diag[b] - 2.0 * z_cross[a, b - n_p]
-            res = res[a] + res[b]
+            b = np.where(q >= 0, n_p + np.searchsorted(q_terms, q), -1)
         else:
-            k = np.arange(len(cells_ij))
-            on = q >= 0
-            B = sp.csc_matrix((np.concatenate([np.ones(k.size), -np.ones(int(on.sum()))]),
-                               (np.concatenate([p, q[on]]), np.concatenate([k, k[on]]))),
-                              shape=(n_red, k.size))
-            z_diag, _, res = self._pair_resistances(B, 0)
-            r_eff, res = z_diag[:-1], res[:-1]
+            plus, minus = p, q
+            a, b = np.arange(len(cells_ij)), np.full(len(cells_ij), -1)
+        r_eff, res = self._pair_resistances(plus, minus, a, b)
         out = self.spec.v_dd / (r_eff + 2.0 * self.spec.r_driver)
         bound = out * res
         worst = int(np.argmax(bound))
@@ -390,13 +387,15 @@ class ConventionalSession:
             )
         return out
 
-    def _pair_resistances(self, B, n_a):
-        """Terms of the effective resistance of w = e_a - e_b over the
-        columns of the sparse right-hand side B: Z's diagonal, its cross
-        block Z_ab (a below n_a, b from n_a on), and a bound on the KCL
-        residual of each column's solution per unit current.  Each ends in
-        a zero entry (``z_cross`` in a zero column) that stands for no
-        column: index k of ``z_diag`` and ``res``, for B's k columns.
+    def _pair_resistances(self, plus, minus, a, b):
+        """Each cell's effective resistance and a bound on its KCL residual
+        per unit current.
+
+        Solved column k carries a unit current into unknown ``plus[k]`` and
+        out of ``minus[k]`` (-1 is the ground): its right-hand side is
+        B_k = e_plus - e_minus.  Cell c reads columns ``a[c]`` and ``b[c]``
+        (-1 is none), w = B_a - B_b, so R = Z_aa + Z_bb - 2 Z_ab.  A column
+        a that a cell pairs with a b runs to the ground and precedes b.
 
         The assembled Laplacian rounds device conductances away where they
         sit beside wire conductances on its diagonal, so X = G^-1 B alone
@@ -404,43 +403,45 @@ class ConventionalSession:
         array).  The residual R of X, its branch-form imbalance
         (``ReducedSystem.imbalance``) less B, keeps them.  Z = B'X - X'R
         equals B'G^-1 B but for the second-order term R'G^-1 R, so it is
-        symmetric to that order and the resistance is
-        w'Zw = Z_aa + Z_bb - 2 Z_ab.
+        symmetric to that order.
 
-        B is solved ``solver._PANEL`` columns at a time, and each panel's
-        residual and terms are formed before the next is solved, so only
-        the first n_a columns of X, which the cross term needs, outlive
-        their panel.
+        Columns are solved ``solver._PANEL`` at a time, and each panel's
+        residuals and terms are formed before the next is solved.  Only the
+        a columns that cells pair with a b outlive their panel: each cross
+        term Z_ab = X_b[plus_a] - X_a'R_b is one dot product of a kept
+        column with a residual column of b's panel.
         """
         system = self.system
-        n_red, k = B.shape
-        z_diag, res = np.zeros(k + 1), np.zeros(k + 1)
-        z_cross = np.zeros((n_a, k - n_a + 1))
-        X_a = np.empty((n_red, n_a), order="F")
-        touched = np.unique(B.indices)
-        B_t = B[touched].T.tocsr()
+        k, paired = plus.size, b >= 0
+        n_keep = int(a[paired].max()) + 1 if paired.any() else 0
+        z, res, z_ab = np.empty(k), np.empty(k), np.zeros(a.size)
+        X_keep = np.empty((system.unknown.size, n_keep), order="F")
         x = np.zeros(self.net.n_nodes)  # the ground stays at zero
         for s in range(0, k, solver._PANEL):
             c = slice(s, min(s + solver._PANEL, k))
-            Bc = B[:, c].tocoo()
-            X = np.zeros(Bc.shape, order="F")  # the panel's right-hand side, then its solution
-            X[Bc.row, Bc.col] = Bc.data
+            t = np.arange(c.stop - s)
+            to = minus[c] >= 0  # columns whose current leaves by an unknown
+            rows = np.concatenate([plus[c], minus[c][to]])
+            cols = np.concatenate([t, t[to]])
+            signs = np.concatenate([np.ones(t.size), -np.ones(cols.size - t.size)])
+            X = np.zeros((system.unknown.size, t.size), order="F")
+            X[rows, cols] = signs  # the panel's right-hand side, then its solution
             X = system.solve_block(X)
-            if s < n_a:
-                X_a[:, s:min(c.stop, n_a)] = X[:, :n_a - s]
-            S = B_t @ X[touched]  # B'X for this panel's columns of X
+            if s < n_keep:
+                X_keep[:, s:min(c.stop, n_keep)] = X[:, :n_keep - s]
             # column by column: one vector at a time runs faster than a few
             R = np.empty(X.shape, order="F")
-            for t in range(X.shape[1]):
-                x[system.unknown] = X[:, t]
-                R[:, t] = system.imbalance(x)
-            R[Bc.row, Bc.col] -= Bc.data
-            z_diag[c] = np.diagonal(S[c]) - np.einsum("ij,ij->j", X, R)
-            if c.stop > n_a:
-                lo = max(s, n_a)
-                z_cross[:, lo - n_a:c.stop - n_a] = S[:n_a, lo - s:] - X_a.T @ R[:, lo - s:]
+            for j in t:
+                x[system.unknown] = X[:, j]
+                R[:, j] = system.imbalance(x)
+            R[rows, cols] -= signs
+            z[c] = np.bincount(cols, signs * X[rows, cols], t.size) - np.einsum("ij,ij->j", X, R)
+            for cell in np.flatnonzero((b >= s) & (b < c.stop)):
+                j = b[cell] - s
+                z_ab[cell] = X[plus[a[cell]], j] - X_keep[:, a[cell]] @ R[:, j]
             res[c] = np.abs(R, out=R).max(axis=0)
             # Freed before the next panel is solved, which would otherwise
             # hold two more panels beside the new one.
             del X, R
-        return z_diag, z_cross, res
+        z_b, res_b = (np.where(paired, v[b], 0.0) for v in (z, res))
+        return z[a] + z_b - 2.0 * z_ab, res[a] + res_b

@@ -146,3 +146,46 @@ def test_checker_finds_writer_calls():
 def test_only_emit_writes_output_files():
     calls = {f"{p.name} {c}" for p in ALL_MODULES for c in writer_calls(p.read_text())}
     assert calls == {f"experiments.py emit: {w}" for w in WRITERS}
+
+
+# Sparse matrices are built and factored in ``solver`` alone, and the device
+# law is evaluated in ``devices`` alone (``CellGrid.currents`` and
+# ``conductances``).
+OWNERS = {"scipy.sparse": "solver.py", "np.sinh": "devices.py", "np.cosh": "devices.py"}
+
+
+def owned_uses(source: str, exempt=frozenset()) -> list[str]:
+    """Uses of the names in ``OWNERS``, as ``line n: name``: imports of
+    ``scipy.sparse`` or a submodule of it, unless bound to a name in
+    ``exempt``, and calls of ``np.sinh`` and ``np.cosh``."""
+    def sparse(module: str) -> bool:
+        return (module + ".").startswith("scipy.sparse.")
+
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            uses += [(node.lineno, "scipy.sparse") for a in node.names
+                     if sparse(a.name) and (a.asname or a.name) not in exempt]
+        elif isinstance(node, ast.ImportFrom) and any(
+                sparse(f"{node.module}.{a.name}") for a in node.names):
+            uses.append((node.lineno, "scipy.sparse"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and getattr(node.func.value, "id", None) == "np"
+              and node.func.attr in ("sinh", "cosh")):
+            uses.append((node.lineno, f"np.{node.func.attr}"))
+    return [f"line {n}: {name}" for n, name in sorted(uses)]
+
+
+def test_checker_finds_owned_uses():
+    source = ("import numpy as np\nimport scipy.sparse as sp\n"
+              "import scipy.sparse.linalg as spla\nfrom scipy import sparse\n\n"
+              "def f(v):\n    return np.sinh(v) + np.cosh(v) + np.tanh(v)\n")
+    assert owned_uses(source, exempt={"spla"}) == [
+        "line 2: scipy.sparse", "line 4: scipy.sparse", "line 7: np.cosh", "line 7: np.sinh"]
+
+
+def test_sparse_algebra_and_device_law_each_have_one_module():
+    strays = [f"{p.name} {use}" for p in ALL_MODULES
+              for use in owned_uses(p.read_text(), EXEMPT.get(p.name, set()))
+              if OWNERS[use.split(": ")[1]] != p.name]
+    assert not strays, f"used outside their owning module: {strays}"

@@ -277,12 +277,14 @@ class TestConventionalRead:
         n_red = session.system.unknown.size
         solved = _count_solved_columns(session)
         monkeypatch.setattr(readout, "_BATCH_TARGET_FLOATS", 3 * n_red)
-        session.currents(targets)
+        per_terminal = session.currents(targets)
         assert sum(solved) == 3 + 3  # bitline 6 ends in the ground
         solved.clear()
         monkeypatch.setattr(readout, "_BATCH_TARGET_FLOATS", 3 * n_red - 1)
         got = session.currents(targets)
         assert sum(solved) == len(targets)
+        # the two modes share one formula and differ only in their columns
+        np.testing.assert_allclose(got, per_terminal, rtol=1e-12, atol=0)
         want = np.array([read_cell_conventional(spec, cells, pattern, i, j) for i, j in targets])
         assert np.abs(got / want - 1).max() < 1e-9
 
