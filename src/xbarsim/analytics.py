@@ -23,6 +23,9 @@ from .solver import bitline_currents, solve
 
 # Cell area implied by an areal density of 640 Gbit/cm^2.
 DEFAULT_CELL_AREA_UM2 = 1.0 / 6400.0  # um^2 per bit
+# Tallest column a mismatch sweep simulates: it covers the default delta_v grid,
+# whose widest bracket (sinh at 0.5 mV) is 52004 rows.
+_SWEEP_CAP = 1 << 16
 
 
 # Power -------------------------------------------------------------------------
@@ -242,26 +245,23 @@ def mismatch_simulation_check(
     device: DeviceParams,
     trials: int = 1,
     master_seed: int = 1,
-    sweep_cap: int = 1 << 16,
 ) -> MismatchCheck:
     """Find the largest column height whose simulated mismatch current stays
     inside the sensing window, by bisection on the (monotone) normalized
     excursion, and compare with the closed form.
 
     The bracket starts at twice the closed-form limit and doubles until the
-    window is left, never past ``sweep_cap`` rows; a column of ``sweep_cap``
-    rows still inside the window is reported ``unbounded``.  The default cap
-    covers the default delta_v grid (its widest bracket, sinh at 0.5 mV, is
-    52004 rows)."""
+    window is left, never past ``_SWEEP_CAP`` rows; a column of
+    ``_SWEEP_CAP`` rows still inside the window is reported ``unbounded``."""
     analytic = max_column_width(p, device) if p.delta_v > 0 else None
     lo = 2
-    hi = min(sweep_cap, 2 * analytic + 4) if analytic is not None else sweep_cap
+    hi = min(_SWEEP_CAP, 2 * analytic + 4) if analytic is not None else _SWEEP_CAP
     if _simulated_unwanted(spec, device, p, lo, trials, master_seed) > 1.0:
         return MismatchCheck(analytic, 0, float("inf"))
     while _simulated_unwanted(spec, device, p, hi, trials, master_seed) <= 1.0:
-        if hi >= sweep_cap:
-            return MismatchCheck(analytic, sweep_cap, float("nan"), unbounded=True)
-        hi = min(2 * hi, sweep_cap)
+        if hi >= _SWEEP_CAP:
+            return MismatchCheck(analytic, _SWEEP_CAP, float("nan"), unbounded=True)
+        hi = min(2 * hi, _SWEEP_CAP)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if _simulated_unwanted(spec, device, p, mid, trials, master_seed) <= 1.0:

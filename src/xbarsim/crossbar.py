@@ -7,6 +7,9 @@ wire resistance each line collapses to a single rail node.  Drives and
 clamps attach at the decoder end of wordlines (column 0) and the sense
 end of bitlines (row M-1), either as directly fixed nodes (no series
 resistance) or through an explicit terminal node and series branch.
+A row read's bias is decided here alone: ``row_read_voltages`` gives the
+line voltages of a panel of reads and ``row_read_bias`` one read's, which
+``_line_voltages`` places on the nodes for row sessions and networks alike.
 """
 
 from __future__ import annotations
@@ -162,7 +165,8 @@ class BiasConfig:
                     f"{side}_kind, {side}_v and {side}_r must be 1-D arrays of one "
                     f"length, got shapes {kind.shape}, {v.shape}, {r.shape}"
                 )
-            if not np.isin(kind, (BIAS_FLOATING, BIAS_DRIVE, BIAS_CLAMP, BIAS_LOAD)).all():
+            codes = (BIAS_FLOATING, BIAS_DRIVE, BIAS_CLAMP, BIAS_LOAD)
+            if not np.logical_or.reduce([kind == c for c in codes]).all():  # np.isin is slower
                 raise ValueError(f"{side}_kind entries must be BIAS_* codes, got {np.unique(kind)}")
             kind = kind.astype(np.int8)
             bad = np.where(kind == BIAS_FLOATING, ~np.isnan(v), ~np.isfinite(v))
@@ -218,37 +222,53 @@ class BiasMismatch:
         return cls(wl, np.zeros(spec.cols))
 
 
+def row_read_voltages(
+    spec: CrossbarSpec,
+    rows,
+    mismatch: BiasMismatch | None = None,
+    bitlines: Floating | ResistiveLoad | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Line voltages of the row reads of the sequence ``rows`` (wordlines x
+    reads, bitlines x reads): the selected wordline at v_dd; every other line
+    at v_b plus its offset, except ``FLOATING`` bitlines (NaN) and those of a
+    ``ResistiveLoad`` (its ``to``), which take no offset."""
+    for i in rows:
+        if not 0 <= i < spec.rows:
+            raise IndexError(f"row {i} out of range for {spec.rows} rows")
+    wl_dv = mismatch.wordline_dv if mismatch is not None else np.zeros(spec.rows)
+    bl_dv = mismatch.bitline_dv if mismatch is not None else np.zeros(spec.cols)
+    if len(wl_dv) != spec.rows or len(bl_dv) != spec.cols:
+        raise ValueError("mismatch offset lengths must match array dimensions")
+    if not (np.isfinite(wl_dv).all() and np.isfinite(bl_dv).all()):
+        raise ValueError("mismatch offsets must be finite")
+    if bitlines is None:
+        bl = spec.v_b + np.asarray(bl_dv, dtype=float)
+    elif not isinstance(bitlines, Floating | ResistiveLoad):
+        raise TypeError(f"bitlines must be None, FLOATING or a ResistiveLoad, got {bitlines!r}")
+    elif np.any(bl_dv):
+        raise ValueError("bitline offsets apply only to clamped bitlines")
+    else:
+        bl = line_arrays(spec.cols, bitlines)[1]
+    wl_v, bl_v = np.empty((spec.rows, len(rows))), np.empty((spec.cols, len(rows)))
+    wl_v[:], bl_v[:] = (spec.v_b + np.asarray(wl_dv, dtype=float))[:, None], bl[:, None]
+    wl_v[rows, np.arange(len(rows))] = spec.v_dd
+    return wl_v, bl_v
+
+
 def row_read_bias(
     spec: CrossbarSpec,
     selected_row: int,
     mismatch: BiasMismatch | None = None,
     bitlines: Floating | ResistiveLoad | None = None,
 ) -> BiasConfig:
-    """Row read: drive the selected wordline to v_dd and clamp every other
-    wordline to v_b plus any per-line offset.  Every bitline takes
-    ``bitlines``: ``None`` clamps each to v_b plus its offset (the one-cycle
-    row readout); ``FLOATING`` or a ``ResistiveLoad`` gives the
-    voltage-sensing baselines, whose bitlines take no offset."""
-    if not (0 <= selected_row < spec.rows):
-        raise IndexError(f"selected_row {selected_row} out of range for {spec.rows} rows")
-    wl_dv = mismatch.wordline_dv if mismatch is not None else np.zeros(spec.rows)
-    bl_dv = mismatch.bitline_dv if mismatch is not None else np.zeros(spec.cols)
-    if len(wl_dv) != spec.rows or len(bl_dv) != spec.cols:
-        raise ValueError("mismatch offset lengths must match array dimensions")
+    """Bias of one row read: the selected wordline driven, every other
+    clamped, and every bitline clamped (``bitlines`` None, the one-cycle row
+    readout) or as ``bitlines`` terminates it, at ``row_read_voltages``."""
+    wl_v, bl_v = row_read_voltages(spec, [selected_row], mismatch, bitlines)
     wl_kind = np.full(spec.rows, BIAS_CLAMP, dtype=np.int8)
     wl_kind[selected_row] = BIAS_DRIVE
-    wl_v = spec.v_b + np.asarray(wl_dv, dtype=float)
-    wl_v[selected_row] = spec.v_dd
-    if bitlines is None:
-        bl = (np.full(spec.cols, BIAS_CLAMP, dtype=np.int8),
-              spec.v_b + np.asarray(bl_dv, dtype=float), np.full(spec.cols, np.nan))
-    elif not isinstance(bitlines, Floating | ResistiveLoad):
-        raise TypeError(f"bitlines must be None, FLOATING or a ResistiveLoad, got {bitlines!r}")
-    elif np.any(bl_dv):
-        raise ValueError("bitline offsets apply only to clamped bitlines")
-    else:
-        bl = line_arrays(spec.cols, bitlines)
-    return BiasConfig(wl_kind, wl_v, np.full(spec.rows, np.nan), *bl)
+    bl_kind, _, bl_r = line_arrays(spec.cols, Clamp(spec.v_b) if bitlines is None else bitlines)
+    return BiasConfig(wl_kind, wl_v[:, 0], np.full(spec.rows, np.nan), bl_kind, bl_v[:, 0], bl_r)
 
 
 def conventional_cell_bias(
@@ -281,7 +301,7 @@ def check_pattern(spec: CrossbarSpec, pattern: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"pattern shape {pattern.shape} does not match array {spec.rows}x{spec.cols}"
         )
-    if not np.isin(pattern, (0, 1)).all():
+    if not ((pattern == 0) | (pattern == 1)).all():
         raise ValueError("pattern entries must be 0 or 1")
     return pattern.astype(np.int8)
 
@@ -373,6 +393,9 @@ class Network:
     # far (column N-1) end of each wordline: attached under double-sided
     # clamping of a driven or clamped line, TERM_FLOATING otherwise
     wl_attach_far: LineAttachments
+    # every line end in terminal order (near and far wordline ends, then
+    # bitline ends), of which the three sets above are slices
+    line_ends: LineAttachments
 
     def node_name(self, idx: int) -> str:
         m, n = self.spec.rows, self.spec.cols
@@ -457,24 +480,19 @@ def build_network(
     terminal = np.where(resistive, n_rail + np.cumsum(resistive) - 1, -1)
     n_nodes = n_rail + int(resistive.sum())
 
-    fixed_mask = np.zeros(n_nodes, dtype=bool)
-    fixed_voltage = np.full(n_nodes, np.nan)
-    fixed_mask[node[direct]] = True
-    fixed_voltage[node[direct]] = voltage[direct]
-    fixed_mask[n_rail:] = True
-    fixed_voltage[n_rail:] = voltage[resistive]
     wire_a.append(node[resistive])
     wire_b.append(terminal[resistive])
     wire_g.append(g[resistive])
 
     term = np.select([direct, resistive], [TERM_DIRECT, TERM_RESISTIVE], TERM_FLOATING)
     fields = (term.astype(np.int8), node, terminal, np.where(resistive, g, 0.0), voltage)
-    for arr in fields:
-        arr.setflags(write=False)
     bounds = (0, m, 2 * m, 2 * m + n)
     wl_attach, wl_attach_far, bl_attach = (
         LineAttachments(*(f[lo:hi] for f in fields)) for lo, hi in zip(bounds, bounds[1:])
     )
+    line_ends = LineAttachments(*fields)
+    # a node is fixed where a line voltage is placed: attached lines' are finite
+    fixed_voltage = _line_voltages(line_ends, bias.wl_v, bias.bl_v, np.full(n_nodes, np.nan))
 
     net = Network(
         spec=spec,
@@ -483,7 +501,7 @@ def build_network(
         bias=bias,
         active_params=cells.active_params(pattern),
         n_nodes=n_nodes,
-        fixed_mask=fixed_mask,
+        fixed_mask=~np.isnan(fixed_voltage),
         fixed_voltage=fixed_voltage,
         wire_a=np.concatenate(wire_a),
         wire_b=np.concatenate(wire_b),
@@ -495,8 +513,18 @@ def build_network(
         wl_attach=wl_attach,
         bl_attach=bl_attach,
         wl_attach_far=wl_attach_far,
+        line_ends=line_ends,
     )
-    for arr in (net.fixed_mask, net.fixed_voltage, net.wire_a, net.wire_b, net.wire_g,
-                net.dev_a, net.dev_b, net.wl_nodes, net.bl_nodes, net.pattern, net.active_params):
+    for arr in (net.fixed_mask, net.fixed_voltage, net.wire_a, net.wire_b, net.wire_g, net.dev_a,
+                net.dev_b, net.wl_nodes, net.bl_nodes, net.pattern, net.active_params, *fields):
         arr.setflags(write=False)
     return net
+
+
+def _line_voltages(ends: LineAttachments, wl_v, bl_v, out: np.ndarray) -> np.ndarray:
+    """Set in ``out`` (nodes, or nodes x solves) the control node of every
+    attached end in ``ends`` (a network's ``line_ends``) to its line's entry
+    of ``wl_v`` (both ends of a wordline alike) or ``bl_v``; returns ``out``."""
+    on = ends.kind != TERM_FLOATING
+    out[ends.control_node[on]] = np.concatenate([wl_v, wl_v, bl_v])[on]
+    return out

@@ -5,21 +5,15 @@ threshold classification and error statistics.  Every read returns its
 sensed values as an array; callers classify them with ``classify`` against
 ``midpoint_threshold`` or score them with ``best_threshold_ber``.
 
-Two session classes reuse a single sparse factorization across many reads
-of the same sampled array.  ``RowReadSession`` serves every row read, with
-its bitlines clamped (current sensing), floating or loaded (voltage
-sensing): one matrix serves every selected row, and only the right-hand
-side changes.  Every clamped row starts at the ideal-rail voltages: a
-linear one takes one solve and a KCL check, a sinh one relaxes on the
-factored line blocks (``solver.LineBlocks``) to the rounding floor under the
-refinement rule of one-shot solves.
-``ConventionalSession`` takes one solve per distinct terminal line of a
-single-cell sweep, from which every cell's two-terminal effective
-resistance follows.  Both factor through ``solver.ReducedSystem``.
+A read's bias is decided in ``crossbar`` (``row_read_bias`` for one read,
+``row_read_voltages`` for a panel of them) and its network solved in
+``solver``; this module keeps the schemes: the bitline termination, what is
+sensed, panels of rows and the per-row Newton fallback.  Two sessions reuse
+one factorization across many reads of a sampled array, through
+``solver.ReducedSystem``: ``RowReadSession`` serves every row read, and
+``ConventionalSession`` every single-cell read of a linear array.
 ``read_row`` and ``read_cell_conventional`` solve one read afresh; the
-first is the reference that row sessions are checked against.  One-shot
-reads and clamped sessions alike sense currents with
-``solver.bitline_currents`` of solved node voltages.
+first is the reference that row sessions are checked against.
 """
 
 from __future__ import annotations
@@ -33,20 +27,19 @@ import scipy.sparse.linalg as spla  # noqa: F401
 
 from . import solver
 from .crossbar import (
-    BIAS_CLAMP,
     FLOATING,
-    TERM_FLOATING,
     BiasConfig,
     BiasMismatch,
+    Clamp,
     CrossbarSpec,
     Floating,
-    Network,
     ResistiveLoad,
+    _line_voltages,
     build_network,
     check_pattern,
     conventional_cell_bias,
-    line_arrays,
     row_read_bias,
+    row_read_voltages,
 )
 from .devices import LRS, CellGrid, DeviceParams, ideal_state_currents
 from .solver import (
@@ -139,58 +132,44 @@ def read_cell_conventional(
 # Factorization-reuse sessions --------------------------------------------------
 
 
-def _line_voltages(net: Network, wl_v: np.ndarray, bl_v: np.ndarray) -> np.ndarray:
-    """Node-voltage matrix with every attached line's control node set from
-    its row of ``wl_v`` (wordlines x solves) or ``bl_v`` (bitlines x
-    solves), both ends of a double-sided wordline alike, and zeros
-    elsewhere."""
-    V = np.zeros((net.n_nodes, wl_v.shape[1]))
-    V[net.wl_attach.control_node] = wl_v
-    for att, v in ((net.wl_attach_far, wl_v), (net.bl_attach, bl_v)):
-        on = att.kind != TERM_FLOATING
-        V[att.control_node[on]] = v[on]
-    return V
-
-
 class RowReadSession:
     """Row reads of one sampled array with a single factorization.
 
     Every bitline takes the termination ``bitlines`` (as in
-    ``crossbar.row_read_bias``), and the session senses what it gives:
-    with ``None`` each bitline is clamped at the hold voltage and senses
-    the current into its clamp (the one-cycle row readout, ``unit`` 'A');
-    with ``FLOATING`` or a ``ResistiveLoad(r_s, to)`` it senses the voltage
-    at its sense end, less ``to`` for a load (the voltage-sensing
-    baselines, ``unit`` 'V').  ``row_currents`` and
-    ``bitline_currents_from`` return these sensed values.
+    ``crossbar.row_read_bias``), and ``row_currents`` and
+    ``bitline_currents_from`` return what it senses: with ``None`` each
+    bitline is clamped at the hold voltage and senses the current into its
+    clamp (the one-cycle row readout, ``unit`` 'A'); with ``FLOATING`` or a
+    ``ResistiveLoad(r_s, to)`` it senses the voltage at its sense end, less
+    ``to`` for a load (the voltage-sensing baselines, ``unit`` 'V').
 
-    The fixed-node set of the bias does not depend on the selected row, so
-    one ``ReducedSystem`` factorized at zero device bias serves every row:
-    an LU factor for linear cells, and for sinh cells of a clamped session
-    only ``solver.LineBlocks``, each line's tridiagonal block.
-    Every row of a clamped session starts with each rail node at its line's
-    control-node voltage (the ideal-rail solution), so a correction holds
-    only the wire drops.  A linear clamped row then takes one solve and a
-    KCL check against ``solver.KCL_TOL``.  Its next correction would be
-    6e-16 V (128x128, double-sided) to 7e-14 V (256x256, single-sided),
-    above the voltages' rounding floor, yet each sensed node sits next to
-    its clamp: after one solve every sensed current is within half a
-    *sensing quantum* of the fully refined read (the largest conductance at
-    a bitline's control node times one ulp of the largest node voltage,
-    2.2e-17 A with 10-ohm wires).  Linear rows of floating or loaded
-    bitlines, which have no control voltage to start from, are solved and
-    refined by ``ReducedSystem.solve``.  Sinh rows of a clamped session
-    relax from the ideal rail on the line blocks against the true KCL
-    residual, ended by ``ReducedSystem.correct``'s rule at the rounding
-    floor (2-3 steps at 8x8 to 32x32, 5-6 at 256x256), so each current is
-    within a sensing quantum of the refined Newton read's, give or take a
-    few eps of the current where a device is a sensed node's only branch;
-    any column still above ``solver.KCL_TOL`` then takes a per-row exact
-    Newton solve at the same hold voltage.  Sinh rows of the other
-    terminations take that Newton solve directly: their bitlines couple to
-    the array only through high-resistance cells, so a residual of
-    ``KCL_TOL`` still leaves their voltages microvolts off.
-    No state carries from one read to the next.
+    The fixed-node set of a row read does not depend on the selected row,
+    so the network is built once, for row 0, and each panel of reads takes
+    its fixed voltages from ``crossbar.row_read_voltages``.  One
+    ``ReducedSystem`` factored at zero device bias serves every row: an LU
+    factor for linear cells, and for sinh cells of a clamped session only
+    ``solver.LineBlocks``, each line's tridiagonal block.  A clamped row
+    starts with each rail node at its line's control-node voltage, the
+    ideal rail (``solver._rail_start``), so a correction holds only the wire
+    drops.  A linear clamped row then takes one correction
+    (``ReducedSystem.step``) and a KCL check against ``solver.KCL_TOL``:
+    a next one would still move voltages by up to 7e-14 V (256x256), yet
+    each sensed node sits next to its clamp, so every sensed current is
+    within half a *sensing quantum* of the fully refined read (the largest
+    conductance at a bitline's control node times one ulp of the largest
+    node voltage, 2.2e-17 A with 10-ohm wires).  A sinh clamped row
+    relaxes on the line blocks to the rounding floor under
+    ``ReducedSystem.correct``'s rule (2-3 steps at 8x8 to 32x32, 5-6 at
+    256x256), so each current is within a sensing quantum of the refined
+    Newton read's, give or take a few eps of the current where a device is
+    a sensed node's only branch; any column not within ``KCL_TOL`` (NaN
+    too) then takes a per-row Newton solve at the same hold voltage.  Rows
+    of floating or loaded bitlines have no control voltage to start from:
+    linear ones are solved and refined by ``ReducedSystem.solve``, sinh ones
+    take the Newton solve directly, since their bitlines couple to the
+    array only through high-resistance cells and a residual of ``KCL_TOL``
+    still leaves them microvolts off.  No state carries from one read to
+    the next.
 
     ``row_currents`` reads ``solver._PANEL`` rows per batch, the width of
     one solve panel, so each residual, iterate and correction stays a few
@@ -209,7 +188,7 @@ class RowReadSession:
         self.spec = spec
         self.cells = cells
         self.pattern = check_pattern(spec, pattern)
-        self.mismatch = mismatch if mismatch is not None else BiasMismatch.zeros(spec)
+        self.mismatch = mismatch
         self.bitlines = bitlines
         self.unit = "A" if bitlines is None else "V"
         self._v_ref = bitlines.to if isinstance(bitlines, ResistiveLoad) else 0.0
@@ -225,55 +204,35 @@ class RowReadSession:
     def solve_rows(self, rows, v_b: float | None = None) -> np.ndarray:
         """Full node-voltage matrix (n_nodes x len(rows)), one column per row read.
 
-        ``v_b`` overrides the session hold voltage; the factorized matrix
-        does not depend on the bias values, so the override is free.
+        ``v_b`` overrides the session hold voltage, checked as a
+        ``CrossbarSpec`` field; the factorized matrix does not depend on the
+        bias values, so the override is free.
         """
         rows = list(rows)
-        for i in rows:
-            if not (0 <= i < self.spec.rows):
-                raise IndexError(f"row {i} out of range for {self.spec.rows} rows")
+        spec = self.spec if v_b is None else dataclasses.replace(self.spec, v_b=v_b)
+        wl_v, bl_v = row_read_voltages(spec, rows, self.mismatch, self.bitlines)
         if not rows:
             return np.zeros((self.net.n_nodes, 0))
-        v_b = self.spec.v_b if v_b is None else v_b
-        k = np.arange(len(rows))
-        wl_v = np.repeat((v_b + self.mismatch.wordline_dv)[:, None], len(rows), axis=1)
-        wl_v[rows, k] = self.spec.v_dd
-        bl = v_b + self.mismatch.bitline_dv if self.bitlines is None else self.net.bias.bl_v
-        V = _line_voltages(self.net, wl_v, np.repeat(bl[:, None], len(rows), axis=1))
+        V = _line_voltages(self.net.line_ends, wl_v, bl_v, np.zeros((self.net.n_nodes, len(rows))))
         if self.bitlines is not None:
             if self.cells.is_linear:
                 return self.system.solve(V)[0]
-            return self._newton_rows(rows, V, k, v_b)
-        self._rail_start(V)
+            return self._newton_rows(spec, rows, V, range(len(rows)))
+        solver._rail_start(self.net, V)
         if self.cells.is_linear:
             # One solve from the ideal rail leaves every sensed current within
             # half a sensing quantum of a refined read (see the class docstring).
-            if self.system.lu is not None:
-                V[self.system.unknown] -= self.system.solve_block(self.system.imbalance(V))
+            self.system.step(V)
             self.system.check(V)
             return V
         self.system.correct(V)
         F = self.system.imbalance(V)
-        over = np.flatnonzero(np.abs(F).max(axis=0) > solver.KCL_TOL) if F.size else ()
-        return self._newton_rows(rows, V, over, v_b)
+        over = np.flatnonzero(~(np.abs(F).max(axis=0) <= solver.KCL_TOL)) if F.size else ()
+        return self._newton_rows(spec, rows, V, over)
 
-    def _rail_start(self, V: np.ndarray) -> None:
-        """Set every rail node of the clamped panel V to its line's
-        control-node voltage, the ideal-rail solution, in place: an
-        n_nodes x len(rows) temporary would set peak memory."""
-        net, m, n = self.net, self.spec.rows, self.spec.cols
-        wl_v, bl_v = V[net.wl_attach.control_node], V[net.bl_attach.control_node]
-        if self.spec.r_wire > 0:
-            rails = V[:2 * m * n].reshape(2, m, n, V.shape[1])  # a view: V is C-ordered
-            rails[0] = wl_v[:, None]
-            rails[1] = bl_v[None]
-        else:
-            V[:m], V[m:m + n] = wl_v, bl_v
-
-    def _newton_rows(self, rows, V: np.ndarray, cols, v_b: float) -> np.ndarray:
+    def _newton_rows(self, spec: CrossbarSpec, rows, V: np.ndarray, cols) -> np.ndarray:
         """Exact Newton solve of each column c in ``cols`` of V, the read of
-        ``rows[c]`` with this session's bitlines, at hold voltage v_b."""
-        spec = dataclasses.replace(self.spec, v_b=v_b)
+        ``rows[c]`` with this session's bitlines under ``spec``."""
         for c in cols:
             row_net = build_network(spec, self.pattern, self.cells,
                                     row_read_bias(spec, rows[c], self.mismatch, self.bitlines))
@@ -335,9 +294,8 @@ class ConventionalSession:
         self.cells = cells
         self.pattern = check_pattern(spec, pattern)
         # The two drivers add 2 r_driver in series with R(p, q).
-        bl_kind, bl_v, bl_r = line_arrays(spec.cols, FLOATING)
-        bl_kind[-1], bl_v[-1] = BIAS_CLAMP, 0.0
-        bias = BiasConfig(*line_arrays(spec.rows, FLOATING), bl_kind, bl_v, bl_r)
+        bias = BiasConfig.from_terms((FLOATING,) * spec.rows,
+                                     (FLOATING,) * (spec.cols - 1) + (Clamp(0.0),))
         self.net = build_network(dataclasses.replace(spec, r_driver=0.0), self.pattern, cells, bias)
         self.system = ReducedSystem(self.net)
         self.system.factor(cells.conductances(self.net.active_params, 0.0))

@@ -2,16 +2,18 @@
 
 The nodal system is assembled over all nodes, then fixed-voltage nodes are
 eliminated: ``ReducedSystem`` holds the remaining symmetric
-positive-definite conductance Laplacian, its sparse LU factor, the one
-refinement rule every one-shot solve ends with, and the KCL check.
+positive-definite conductance Laplacian, its sparse LU factor (or
+``LineBlocks``), one correction with that factor (``step``), the refinement
+rule every one-shot solve ends with, and the KCL check.
 Residuals are evaluated in float64 branch form on the crossbar's grid
 (``node_imbalance``: wire segments between neighbouring rail nodes, devices
 between the wordline and bitline planes), which is accurate enough that no
 extended precision is needed.  Linear arrays use one factorization;
 sinh-device arrays use damped Newton iteration with the
 differential-conductance Jacobian, started on wired arrays from the
-ideal-rail solution (each line one node).  Clamped sinh row sessions relax
-on ``LineBlocks``, each line's tridiagonal block, instead of a full
+ideal-rail solution (each line one node).  Clamped row sessions start from
+the ideal rail of their fixed voltages (``_rail_start``), and sinh ones
+relax on ``LineBlocks``, each line's tridiagonal block, instead of a full
 factor.
 Sign convention: device current is positive from the wordline node to the
 bitline node; a node's KCL imbalance is the net current leaving it.
@@ -184,10 +186,7 @@ def node_imbalance(net: Network, v: np.ndarray) -> np.ndarray:
 
 
 def _initial_voltages(net: Network) -> np.ndarray:
-    v = np.where(net.fixed_mask, net.fixed_voltage, 0.0)
-    fixed_vals = net.fixed_voltage[net.fixed_mask]
-    v[~net.fixed_mask] = float(np.median(fixed_vals))
-    return v
+    return np.where(net.fixed_mask, net.fixed_voltage, np.median(net.fixed_voltage[net.fixed_mask]))
 
 
 def _ideal_rail_start(net: Network) -> np.ndarray:
@@ -203,6 +202,19 @@ def _ideal_rail_start(net: Network) -> np.ndarray:
     n_lines = net.spec.rows + net.spec.cols
     return v_line[np.concatenate([lines.wl_nodes.ravel(), lines.bl_nodes.ravel(),
                                   np.arange(n_lines, lines.n_nodes)])]
+
+
+def _rail_start(net: Network, V: np.ndarray) -> None:
+    """Set every rail node of V (nodes x solves) to its line's control-node
+    voltage, the ideal rail, in place: a nodes x solves temporary would set
+    peak memory."""
+    m, n = net.spec.rows, net.spec.cols
+    wl_v, bl_v = V[net.wl_attach.control_node], V[net.bl_attach.control_node]
+    if net.spec.r_wire > 0:
+        rails = V[:2 * m * n].reshape(2, m, n, V.shape[1])  # a view: V is C-ordered
+        rails[0], rails[1] = wl_v[:, None], bl_v[None]
+    else:
+        V[:m], V[m:m + n] = wl_v, bl_v
 
 
 @lru_cache(maxsize=8)
@@ -325,13 +337,13 @@ class ReducedSystem:
     """The nodal system of one network, reduced to its unknown nodes.
 
     Owns the fixed/unknown partition, the LU factor of the unknown block
-    (or, for a clamped sinh row session, the ``LineBlocks`` factor in its
-    place), the one refinement rule that finishes every one-shot solve and
-    every clamped sinh session row (``correct``) and the KCL check
-    (``check``) that ends ``solve`` and a clamped linear row of a
-    ``readout.RowReadSession``.  Voltages are
-    full node vectors, or matrices with one column per solve: fixed entries
-    are read, unknown entries are solved for.
+    (or, for a clamped sinh row session, ``LineBlocks`` in its place), one
+    correction with that factor (``step``), the refinement rule of steps
+    that finishes every one-shot solve and every clamped sinh session row
+    (``correct``), and the KCL check (``check``); a clamped linear session
+    row takes one ``step`` and the check.  Voltages are full node vectors,
+    or matrices with one column per solve: fixed entries are read, unknown
+    entries are solved for.
 
     ``unknown`` lists the unknown nodes in factor order: nested dissection
     of the cell grid, or node order when each line is one node
@@ -368,8 +380,7 @@ class ReducedSystem:
         order = (_dissection_order(net.spec.rows, net.spec.cols) if net.spec.r_wire > 0
                  else np.arange(net.n_nodes))  # terminal nodes, not dissected, are fixed
         self.unknown = order[~net.fixed_mask[order]]
-        self.lu = None
-        self.lines = None
+        self.lu = self.lines = None
 
     def factor(self, device_g: np.ndarray) -> None:
         """Factorize the unknown block of the admittance at these device conductances."""
@@ -409,9 +420,11 @@ class ReducedSystem:
         return node_imbalance(self.net, V)[self.unknown]
 
     def correct(self, V: np.ndarray) -> np.ndarray:
-        """Refine the unknowns of V in place against the true residual.
+        """Refine the unknowns of V in place against the true residual, one
+        ``step`` at a time: with an LU factor each is a solve, with
+        ``LineBlocks`` a line relaxation step.
 
-        Progress is judged by the size of the solved correction, a direct
+        Progress is judged by the size of the correction, a direct
         voltage-error gauge that sees soft modes (floating lines coupled
         only through high-resistance cells) which per-node residual scales
         miss.  From a flat start (unknowns at zero) on a linear network the
@@ -431,32 +444,34 @@ class ReducedSystem:
         The first correction has no ratio, so the prediction never stops
         the loop there: a direct solve that skipped refinement would move
         row-read currents by up to 3e-6 relative.
-
-        With a ``LineBlocks`` factor (``factor_lines``) each correction is a
-        line relaxation step, taken on the whole rail planes from the full
-        node imbalance, and the same three tests end it.
         """
         if self.lu is None and self.lines is None:
             return V
         prev = np.inf
         for _ in range(_REFINE_STEPS):
-            if self.lines is not None:
-                step = self.lines.relax(V, node_imbalance(self.net, V))
-            else:
-                delta = self.solve_block(self.imbalance(V))
-                V[self.unknown] -= delta
-                step = np.abs(delta).max()
+            step = self.step(V)
             floor = np.spacing(max(V.max(), -V.min()))
             if step <= floor or step >= prev or (prev < np.inf and step * step <= floor * prev):
                 break
             prev = step
         return V
 
+    def step(self, V: np.ndarray) -> float:
+        """One correction of V's unknowns in place, with whichever factor
+        the system holds; returns its largest entry, 0 with no factor."""
+        if self.lines is not None:
+            return self.lines.relax(V, node_imbalance(self.net, V))
+        if self.lu is None:
+            return 0.0
+        delta = self.solve_block(self.imbalance(V))
+        V[self.unknown] -= delta
+        return np.abs(delta).max()
+
     def check(self, V: np.ndarray) -> float:
         """The KCL residual of V's unknowns, required within ``KCL_TOL``."""
         F = self.imbalance(V)
         residual = float(np.abs(F).max()) if F.size else 0.0
-        if residual > KCL_TOL:
+        if not residual <= KCL_TOL:  # NaN too
             raise SolverConvergenceError(
                 f"nodal residual {residual:.3e} A exceeds tolerance {KCL_TOL:.1e} A",
                 residual=residual, iterations=1,
@@ -498,9 +513,15 @@ def solve_nonlinear(net: Network) -> Solution:
     v = (_ideal_rail_start(net) if net.spec.r_wire > 0 and system.unknown.size
          else _initial_voltages(net))
     f_u = system.imbalance(v)
-    for iterations in range(1, MAX_NEWTON_ITERS + 1):
-        if (np.abs(f_u).max() if f_u.size else 0.0) <= KCL_TOL:
+    for iterations in range(1, MAX_NEWTON_ITERS + 2):
+        res = float(np.abs(f_u).max()) if f_u.size else 0.0
+        if res <= KCL_TOL:
             break
+        # a Jacobian factored at a non-finite residual would be singular
+        if iterations > MAX_NEWTON_ITERS or not np.isfinite(res):
+            raise SolverConvergenceError(
+                f"Newton stopped at nodal residual {res:.3e} A after {iterations - 1} "
+                f"of {MAX_NEWTON_ITERS} iterations", residual=res, iterations=iterations - 1)
         system.factor(net.cells.conductances(net.active_params, _device_dv(net, v)).ravel())
         delta = system.solve_block(-f_u)
         norm0 = np.linalg.norm(f_u)
@@ -517,14 +538,6 @@ def solve_nonlinear(net: Network) -> Solution:
             raise SolverConvergenceError(
                 f"Newton line search failed to reduce residual {norm0:.3e} A",
                 residual=float(norm0), iterations=iterations,
-            )
-    else:
-        res = float(np.abs(f_u).max())
-        if res > KCL_TOL:
-            raise SolverConvergenceError(
-                f"Newton did not converge in {MAX_NEWTON_ITERS} iterations "
-                f"(final residual {res:.3e} A)",
-                residual=res, iterations=MAX_NEWTON_ITERS,
             )
     if system.lu is None and system.unknown.size:  # the start met the KCL bound: refine it all the same
         system.factor(net.cells.conductances(net.active_params, _device_dv(net, v)).ravel())

@@ -1,5 +1,4 @@
 import dataclasses
-import inspect
 import math
 
 import numpy as np
@@ -7,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xbarsim import analytics
 from xbarsim.analytics import (
     DEFAULT_CELL_AREA_UM2,
     FomInputs,
@@ -284,24 +284,22 @@ class TestMismatchSimulation:
         assert check.n_max_analytic == 6500
         assert check.relative_gap <= 0.05
 
-    def test_zero_offset_unbounded(self):
+    def test_zero_offset_unbounded(self, monkeypatch):
+        monkeypatch.setattr(analytics, "_SWEEP_CAP", 512)
         spec = CrossbarSpec(rows=8, cols=8)
-        check = mismatch_simulation_check(
-            spec, MismatchParams(delta_v=0.0), LIN, sweep_cap=512
-        )
+        check = mismatch_simulation_check(spec, MismatchParams(delta_v=0.0), LIN)
         assert check.unbounded and check.n_max_empirical == 512
 
-    def test_tiny_offset_stops_at_sweep_cap(self):
+    def test_tiny_offset_stops_at_sweep_cap(self, monkeypatch):
+        monkeypatch.setattr(analytics, "_SWEEP_CAP", 512)
         spec = CrossbarSpec(rows=8, cols=8)
-        check = mismatch_simulation_check(
-            spec, MismatchParams(delta_v=1e-6), NON, sweep_cap=512
-        )
+        check = mismatch_simulation_check(spec, MismatchParams(delta_v=1e-6), NON)
         assert check.n_max_analytic == 13_000_000
         assert check.unbounded and check.n_max_empirical == 512
         assert math.isnan(check.relative_gap)
 
     def test_default_sweep_cap_covers_default_grid(self):
-        cap = inspect.signature(mismatch_simulation_check).parameters["sweep_cap"].default
+        cap = analytics._SWEEP_CAP
         for dv in ExperimentConfig().delta_v_grid:
             for device in (LIN, NON):
                 assert 2 * max_column_width(MismatchParams(delta_v=dv), device) + 4 <= cap

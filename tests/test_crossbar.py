@@ -24,10 +24,12 @@ from xbarsim.crossbar import (
     Floating,
     LineAttachment,
     ResistiveLoad,
+    _line_voltages,
     build_network,
     conventional_cell_bias,
     random_pattern,
     row_read_bias,
+    row_read_voltages,
 )
 from xbarsim.devices import CellGrid, LinearDeviceParams, VariationSpec
 from xbarsim.solver import assemble_admittance, bitline_currents, solve
@@ -462,3 +464,46 @@ def test_build_network_matches_per_line_reference(data, rows, cols, r_wire, r_dr
                 assert getattr(got, field) == getattr(want, field), (name, k, field)
             assert np.array_equal(got.voltage, want.voltage, equal_nan=True), (name, k)
         assert np.array_equal(attach.control_node, [a.control_node for a in ref[name]])
+
+
+_offsets = st.floats(-5e-3, 5e-3, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=_shapes,
+    r_wire=st.sampled_from([0.0, 10.0]),
+    r_driver=st.sampled_from([0.0, 25.0]),
+    double_sided=st.booleans(),
+    bitlines=st.sampled_from([None, FLOATING, ResistiveLoad(1e4, 0.1)]),
+    v_b=st.sampled_from([None, 0.0, 0.45, 1.1]),
+    offsets=st.booleans(),
+    data=st.data(),
+)
+def test_row_read_voltages_place_each_reads_fixed_voltages(
+        shape, r_wire, r_driver, double_sided, bitlines, v_b, offsets, data):
+    # A session's network, built for row 0 at the session's hold voltage,
+    # takes each read's panel voltages at the fixed nodes bit for bit as the
+    # read's own network fixes them, under any hold-voltage override.
+    rows, cols = shape
+    spec = CrossbarSpec(rows=rows, cols=cols, r_wire=r_wire, r_driver=r_driver,
+                        double_sided_clamps=double_sided)
+    spec_vb = spec if v_b is None else dataclasses.replace(spec, v_b=v_b)
+    mismatch = None
+    if offsets:
+        wl_dv = data.draw(st.lists(_offsets, min_size=rows, max_size=rows))
+        bl_dv = (data.draw(st.lists(_offsets, min_size=cols, max_size=cols))
+                 if bitlines is None else [0.0] * cols)
+        mismatch = BiasMismatch(np.array(wl_dv), np.array(bl_dv))
+    reads = data.draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=5))
+    pattern = np.zeros((rows, cols), np.int8)
+    cells = CellGrid.sample(rows, cols, LinearDeviceParams(), NOVAR)
+    net = build_network(spec, pattern, cells, row_read_bias(spec, 0, mismatch, bitlines))
+    wl_v, bl_v = row_read_voltages(spec_vb, reads, mismatch, bitlines)
+    V = _line_voltages(net.line_ends, wl_v, bl_v, np.zeros((net.n_nodes, len(reads))))
+    for c, i in enumerate(reads):
+        want = build_network(spec_vb, pattern, cells, row_read_bias(spec_vb, i, mismatch, bitlines))
+        assert np.array_equal(want.fixed_mask, net.fixed_mask)
+        fixed = net.fixed_mask
+        assert V[fixed, c].tobytes() == want.fixed_voltage[fixed].tobytes()
+        assert np.isnan(want.fixed_voltage[~fixed]).all()

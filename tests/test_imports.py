@@ -189,3 +189,42 @@ def test_sparse_algebra_and_device_law_each_have_one_module():
               for use in owned_uses(p.read_text(), EXEMPT.get(p.name, set()))
               if OWNERS[use.split(": ")[1]] != p.name]
     assert not strays, f"used outside their owning module: {strays}"
+
+
+# The line-attachment codes and the per-line bias arrays are decided in
+# ``crossbar`` (which writes them) and read in ``solver`` alone; every other
+# module builds a bias from term objects or ``crossbar``'s bias functions.
+BIAS_OWNERS = {"crossbar.py", "solver.py"}
+
+
+def bias_code_uses(source: str) -> list[str]:
+    """Names of ``BIAS_*`` and ``TERM_*`` codes, imported or read, and calls
+    of ``line_arrays``, as ``line n: name``."""
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [(node.lineno, a.name) for a in node.names]
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            names = [(node.lineno, getattr(node, "id", getattr(node, "attr", None)))]
+        else:
+            continue
+        uses += [(n, name) for n, name in names
+                 if name.startswith(("BIAS_", "TERM_")) or name == "line_arrays"]
+    return [f"line {n}: {name}" for n, name in sorted(set(uses))]
+
+
+def test_checker_finds_bias_codes():
+    source = ("from .crossbar import BIAS_CLAMP, FLOATING, line_arrays\n"
+              "from . import crossbar\n\n"
+              "def f(spec, att):\n"
+              "    kind = crossbar.line_arrays(spec.cols, FLOATING)[0]\n"
+              "    return kind == BIAS_CLAMP, att.kind != crossbar.TERM_FLOATING\n")
+    assert bias_code_uses(source) == [
+        "line 1: BIAS_CLAMP", "line 1: line_arrays", "line 5: line_arrays",
+        "line 6: BIAS_CLAMP", "line 6: TERM_FLOATING"]
+
+
+def test_only_crossbar_and_solver_read_bias_codes():
+    strays = [f"{p.name} {use}" for p in ALL_MODULES if p.name not in BIAS_OWNERS
+              for use in bias_code_uses(p.read_text())]
+    assert not strays, f"bias codes used outside crossbar and solver: {strays}"

@@ -511,6 +511,18 @@ class TestRowReadSession:
         assert np.abs(i2 - want).max() < 1e-12
         assert np.all(i2 < i1)
 
+    @pytest.mark.parametrize("term", TERMINATIONS)
+    @pytest.mark.parametrize("base", [LIN, NON])
+    def test_bias_override_is_validated(self, base, term):
+        # an override must make a valid spec: finite and within 0 <= v_b < v_dd
+        spec = CrossbarSpec(rows=4, cols=3, r_wire=10.0)
+        pattern = random_pattern(4, 3, np.random.default_rng(47))
+        cells = CellGrid.sample(4, 3, base, VariationSpec(0.1, 47))
+        session = RowReadSession(spec, cells, pattern, bitlines=TERMINATIONS[term])
+        for v_b in (np.nan, -0.2, 1.3):
+            with pytest.raises(ValueError, match="v_b"):
+                session.solve_rows([1], v_b=v_b)
+
     def test_linear_session_solves_each_row_once(self):
         # from the ideal rail one solve per row, checked against the KCL bound
         spec = CrossbarSpec(rows=20, cols=12, r_wire=10.0, double_sided_clamps=True)

@@ -347,6 +347,45 @@ def test_stiff_sinh_session_within_a_sensing_quantum_of_refined_reads():
     _assert_session_within_a_quantum(spec, pattern, cells, mismatch, [0, 17, 31, 32, 50, 63])
 
 
+# A drive far beyond the sinh law's range: device currents overflow, so every
+# residual of a read of this array is infinite or NaN.
+_OVERFLOW_SPEC = CrossbarSpec(rows=6, cols=5, v_dd=300.0)
+
+
+def _overflowing_array():
+    return (random_pattern(6, 5, np.random.default_rng(1)),
+            CellGrid.sample(6, 5, NonlinearDeviceParams(), VariationSpec(0.1, 1)))
+
+
+def test_clamped_sinh_session_fails_non_finite_rows():
+    # NaN compares false against KCL_TOL: the row must take the Newton
+    # fallback, which fails on its non-finite residual, not return NaN.
+    pattern, cells = _overflowing_array()
+    session = RowReadSession(_OVERFLOW_SPEC, cells, pattern)
+    with np.errstate(all="ignore"), pytest.raises(SolverConvergenceError, match="residual (inf|nan) A"):
+        session.solve_rows([0])
+
+
+def test_newton_fails_a_non_finite_residual_before_it_factors():
+    pattern, cells = _overflowing_array()
+    with np.errstate(all="ignore"), pytest.raises(SolverConvergenceError, match="residual (inf|nan) A"):
+        read_row(_OVERFLOW_SPEC, cells, pattern, 0)
+
+
+def test_kcl_check_fails_a_nan_column():
+    spec = CrossbarSpec(rows=4, cols=3)
+    pattern = random_pattern(4, 3, np.random.default_rng(3))
+    cells = CellGrid.sample(4, 3, LinearDeviceParams(), VariationSpec(0.1, 3))
+    net = build_network(spec, pattern, cells, row_read_bias(spec, 1))
+    system = ReducedSystem(net)
+    system.factor(cells.conductances(net.active_params, 0.0))
+    V = system.solve(np.where(net.fixed_mask, net.fixed_voltage, 0.0)[:, None].repeat(2, axis=1))[0]
+    V[system.unknown[0], 1] = np.nan
+    with pytest.raises(SolverConvergenceError) as err:
+        system.check(V)
+    assert np.isnan(err.value.residual)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     rows=st.integers(1, 40),

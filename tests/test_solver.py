@@ -23,6 +23,7 @@ from xbarsim.devices import CellGrid, LinearDeviceParams, NonlinearDeviceParams,
 from xbarsim import solver
 from xbarsim.oracle import dense_reference_solve
 from xbarsim.solver import (
+    SolverConvergenceError,
     SingularNetworkError,
     assemble_admittance,
     bitline_currents,
@@ -183,6 +184,16 @@ class TestNonlinearSolve:
         sol = solve_nonlinear(net)
         assert sol.iterations <= 15
         assert sol.kcl_residual <= 1e-12
+
+    def test_iteration_budget_is_enforced(self, monkeypatch):
+        # one node per line, so no ideal-rail start spends the budget first
+        spec = CrossbarSpec(rows=8, cols=8, r_wire=0.0, r_driver=25.0)
+        net = build(spec, NON, row_read_bias(spec, 3, bitlines=FLOATING), sigma=0.1, seed=5)
+        budget = solve_nonlinear(net).iterations - 2
+        monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", budget)
+        with pytest.raises(SolverConvergenceError, match=f"after {budget} of {budget} ") as err:
+            solve_nonlinear(net)
+        assert err.value.iterations == budget and err.value.residual > solver.KCL_TOL
 
     def test_strong_nonlinearity_survives_damping(self):
         strong = NonlinearDeviceParams(k_on=1e-8, k_off=1e-11, a=30.0)
