@@ -3,7 +3,9 @@
 A biased M x N array becomes a resistive network: with nonzero wire
 resistance every cell contributes one wordline-rail node and one
 bitline-rail node, chained by wire segments along each line; with zero
-wire resistance each line collapses to a single rail node.  Drives and
+wire resistance each line collapses to a single rail node.
+``Network.rails`` is the one map from nodes to the two rail planes, which
+``build_network`` and ``solver`` read both layouts through.  Drives and
 clamps attach at the decoder end of wordlines (column 0) and the sense
 end of bitlines (row M-1), either as directly fixed nodes (no series
 resistance) or through an explicit terminal node and series branch.
@@ -353,24 +355,32 @@ class LineAttachments:
         return np.where(self.kind == TERM_RESISTIVE, self.terminal_node, self.attach_node)
 
 
+def _rail_planes(spec: CrossbarSpec, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``Network.rails`` of a network of ``spec``, for any A long enough."""
+    m, n = spec.rows, spec.cols
+    n_w, m_b = (n, m) if spec.r_wire > 0 else (1, 1)
+    tail = A.shape[1:]
+    return (A[:m * n_w].reshape((m, n_w) + tail, copy=False),
+            A[m * n_w:m * n_w + m_b * n].reshape((m_b, n) + tail, copy=False))
+
+
 @dataclass(frozen=True)
 class Network:
     """Node-branch description of one biased crossbar.
 
     Node order: wordline rail nodes, then bitline rail nodes, then the
     terminal nodes of resistive attachments (near wordline ends, far
-    wordline ends, then bitlines, each in line order).  With wires
-    (``r_wire > 0``) the rail nodes of each set are cell-major, so node
-    ``i * N + j`` is cell (i, j)'s wordline node and ``M * N + i * N + j``
-    its bitline node; with ideal wires node i is wordline i and ``M + j``
-    bitline j.  The ``wire_*`` arrays list the wordline segments
-    ``(i, j)-(i, j+1)`` cell-major, then the bitline segments
-    ``(i, j)-(i+1, j)`` cell-major, all of conductance ``1 / r_wire``
-    (none with ideal wires), then one boundary resistor per resistive
-    attachment, from its line end to its terminal node, in terminal-node
-    order.  The ``dev_*`` arrays hold one device per cell, cell-major, from
-    its wordline node to its bitline node.  ``solver.node_imbalance``
-    relies on this order.
+    wordline ends, then bitlines, each in line order).  ``rails`` is the
+    one map from nodes to the two rail planes: with wires (``r_wire > 0``)
+    each plane is M x N, one node per cell, and with ideal wires each line
+    is one node, a wordline plane of M x 1 and a bitline plane of 1 x N.
+    The ``wire_*`` arrays list the wordline segments along each row of the
+    wordline plane, then the bitline segments down each column of the
+    bitline plane, both in plane order and of conductance ``g_seg``, then
+    one boundary resistor per resistive attachment, from its line end to
+    its terminal node, in terminal-node order.  The ``dev_*`` arrays hold
+    one device per cell, cell-major, from its wordline node to its bitline
+    node.  ``solver.node_imbalance`` relies on this order.
     """
 
     spec: CrossbarSpec
@@ -386,8 +396,6 @@ class Network:
     wire_g: np.ndarray
     dev_a: np.ndarray
     dev_b: np.ndarray
-    wl_nodes: np.ndarray  # (M, N) wordline rail node per cell
-    bl_nodes: np.ndarray  # (M, N) bitline rail node per cell
     wl_attach: LineAttachments  # decoder (column 0) end of each wordline
     bl_attach: LineAttachments  # sense (row M-1) end of each bitline
     # far (column N-1) end of each wordline: attached under double-sided
@@ -397,19 +405,25 @@ class Network:
     # bitline ends), of which the three sets above are slices
     line_ends: LineAttachments
 
+    def rails(self, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Views (W, B) of the wordline plane (M x N_w) and the bitline
+        plane (M_b x N) of A, a vector over nodes or a nodes x solves
+        matrix: N_w = N and M_b = M with wires, both 1 without.  Only A's
+        first axis is split, so they are views for any strides."""
+        return _rail_planes(self.spec, A)
+
+    @property
+    def g_seg(self) -> float:
+        """Conductance of every wire segment (0 with ideal wires, which have none)."""
+        return 1.0 / self.spec.r_wire if self.spec.r_wire > 0 else 0.0
+
     def node_name(self, idx: int) -> str:
-        m, n = self.spec.rows, self.spec.cols
-        if self.spec.r_wire > 0:
-            if idx < m * n:
-                return f"wl[{idx // n}].seg[{idx % n}]"
-            if idx < 2 * m * n:
-                k = idx - m * n
-                return f"bl[{k % n}].seg[{k // n}]"
-        else:
-            if idx < m:
-                return f"wl[{idx}]"
-            if idx < m + n:
-                return f"bl[{idx - m}]"
+        W, B = self.rails(np.arange(self.n_nodes))
+        for line, plane in (("wl", W), ("bl", B.T)):  # line, then position along it
+            hit = np.argwhere(plane == idx)
+            if hit.size:
+                k, s = hit[0]
+                return f"{line}[{k}].seg[{s}]" if self.spec.r_wire > 0 else f"{line}[{k}]"
         for line, attach, end in (("wl", self.wl_attach, "terminal"),
                                   ("wl", self.wl_attach_far, "terminal_far"),
                                   ("bl", self.bl_attach, "terminal")):
@@ -440,23 +454,8 @@ def build_network(
     if bias.wl_kind.size != m or bias.bl_kind.size != n:
         raise ValueError("bias configuration dimensions do not match the array")
 
-    if spec.r_wire > 0:
-        wl_nodes = (np.arange(m)[:, None] * n + np.arange(n)[None, :]).astype(np.int64)
-        bl_nodes = wl_nodes + m * n
-        n_rail = 2 * m * n
-        gw = 1.0 / spec.r_wire
-        a_w = wl_nodes[:, :-1].ravel()
-        b_w = wl_nodes[:, 1:].ravel()
-        a_b = bl_nodes[:-1, :].ravel()
-        b_b = bl_nodes[1:, :].ravel()
-        wire_a = [a_w, a_b]
-        wire_b = [b_w, b_b]
-        wire_g = [np.full(a_w.size, gw), np.full(a_b.size, gw)]
-    else:
-        wl_nodes = np.broadcast_to(np.arange(m, dtype=np.int64)[:, None], (m, n)).copy()
-        bl_nodes = np.broadcast_to((m + np.arange(n, dtype=np.int64))[None, :], (m, n)).copy()
-        n_rail = m + n
-        wire_a, wire_b, wire_g = [], [], []
+    W, B = _rail_planes(spec, np.arange(2 * m * n))  # rail nodes come first
+    n_rail = W.size + B.size
 
     # Every line end, in terminal order: near wordline ends, far wordline
     # ends (double-sided clamping repeats drives and clamps there, not
@@ -465,7 +464,7 @@ def build_network(
         far_kind = np.where(bias.wl_kind == BIAS_LOAD, BIAS_FLOATING, bias.wl_kind)
     else:
         far_kind = np.full(m, BIAS_FLOATING)
-    node = np.concatenate([wl_nodes[:, 0], wl_nodes[:, n - 1], bl_nodes[m - 1, :]])
+    node = np.concatenate([W[:, 0], W[:, -1], B[-1]])
     kind = np.concatenate([bias.wl_kind, far_kind, bias.bl_kind])
     v = np.concatenate([bias.wl_v, bias.wl_v, bias.bl_v])
     r = np.concatenate([bias.wl_r, bias.wl_r, bias.bl_r])
@@ -479,10 +478,6 @@ def build_network(
         g = np.where(source, 1.0 / spec.r_driver, 1.0 / r)
     terminal = np.where(resistive, n_rail + np.cumsum(resistive) - 1, -1)
     n_nodes = n_rail + int(resistive.sum())
-
-    wire_a.append(node[resistive])
-    wire_b.append(terminal[resistive])
-    wire_g.append(g[resistive])
 
     term = np.select([direct, resistive], [TERM_DIRECT, TERM_RESISTIVE], TERM_FLOATING)
     fields = (term.astype(np.int8), node, terminal, np.where(resistive, g, 0.0), voltage)
@@ -503,20 +498,20 @@ def build_network(
         n_nodes=n_nodes,
         fixed_mask=~np.isnan(fixed_voltage),
         fixed_voltage=fixed_voltage,
-        wire_a=np.concatenate(wire_a),
-        wire_b=np.concatenate(wire_b),
-        wire_g=np.concatenate(wire_g),
-        dev_a=wl_nodes.ravel().copy(),
-        dev_b=bl_nodes.ravel().copy(),
-        wl_nodes=wl_nodes,
-        bl_nodes=bl_nodes,
+        # wire segments along each line of the two planes, then boundary resistors
+        wire_a=np.concatenate([W[:, :-1], B[:-1], node[resistive]], axis=None),
+        wire_b=np.concatenate([W[:, 1:], B[1:], terminal[resistive]], axis=None),
+        wire_g=np.concatenate([np.full(W[:, 1:].size + B[1:].size, 1.0) / spec.r_wire,
+                               g[resistive]]),
+        dev_a=np.broadcast_to(W, (m, n)).ravel(),
+        dev_b=np.broadcast_to(B, (m, n)).ravel(),
         wl_attach=wl_attach,
         bl_attach=bl_attach,
         wl_attach_far=wl_attach_far,
         line_ends=line_ends,
     )
     for arr in (net.fixed_mask, net.fixed_voltage, net.wire_a, net.wire_b, net.wire_g, net.dev_a,
-                net.dev_b, net.wl_nodes, net.bl_nodes, net.pattern, net.active_params, *fields):
+                net.dev_b, net.pattern, net.active_params, *fields):
         arr.setflags(write=False)
     return net
 

@@ -131,7 +131,7 @@ def dense_reference_solve(net: Network) -> Solution:
             v[u] = np.linalg.solve(Guu, rhs)
             v = _refine_dense(net, v, u, Guu)
         residual = float(np.abs(_branch_imbalance(net, v, extended=True)[u]).max()) if u.size else 0.0
-        if residual > solver.KCL_TOL:
+        if not residual <= solver.KCL_TOL:  # NaN too
             raise SolverConvergenceError(
                 f"dense linear residual {residual:.3e} A above tolerance",
                 residual=residual, iterations=1,
@@ -139,20 +139,21 @@ def dense_reference_solve(net: Network) -> Solution:
         return Solution(v, residual, iterations=1)
 
     # Full-matrix Newton for sinh devices.
+    def jacobian(v):
+        dv = (v[net.dev_a] - v[net.dev_b]).reshape(net.spec.rows, net.spec.cols)
+        return _dense_admittance(net, net.cells.conductances(net.active_params, dv))[np.ix_(u, u)]
+
     v[u] = float(np.median(net.fixed_voltage[f]))
     Juu = None
     f_u = _branch_imbalance(net, v)[u]
     for iterations in range(1, solver.MAX_NEWTON_ITERS + 1):
         res = np.abs(f_u).max() if u.size else 0.0
         if res <= solver.KCL_TOL:
-            if Juu is not None:
-                v = _refine_dense(net, v, u, Juu)
+            if u.size:  # a start within the bound is refined too: HRS lines sit mV off there
+                v = _refine_dense(net, v, u, jacobian(v) if Juu is None else Juu)
                 res = float(np.abs(_branch_imbalance(net, v, extended=True)[u]).max())
             return Solution(v, float(res), iterations)
-        dv = (v[net.dev_a] - v[net.dev_b]).reshape(net.spec.rows, net.spec.cols)
-        g_dev = net.cells.conductances(net.active_params, dv).ravel()
-        J = _dense_admittance(net, g_dev)
-        Juu = J[np.ix_(u, u)]
+        Juu = jacobian(v)
         delta = np.linalg.solve(Juu, -f_u)
         norm0 = np.linalg.norm(f_u)
         alpha = 1.0

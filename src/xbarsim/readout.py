@@ -303,8 +303,8 @@ class ConventionalSession:
         # bitline's sense end; -1 marks the ground.
         pos = np.full(self.net.n_nodes, -1)
         pos[self.system.unknown] = np.arange(self.system.unknown.size)
-        self._p = pos[self.net.wl_nodes[:, 0]]
-        self._q = pos[self.net.bl_nodes[spec.rows - 1, :]]
+        self._p = pos[self.net.wl_attach.attach_node]
+        self._q = pos[self.net.bl_attach.attach_node]
 
     def currents(self, cells_ij) -> np.ndarray:
         """Sensed current for each (i, j) target: one solved column per
@@ -336,8 +336,8 @@ class ConventionalSession:
         r_eff, res = self._pair_resistances(plus, minus, a, b)
         out = self.spec.v_dd / (r_eff + 2.0 * self.spec.r_driver)
         bound = out * res
-        worst = int(np.argmax(bound))
-        if bound[worst] > solver.KCL_TOL:
+        worst = int(np.argmax(bound))  # the first NaN, if any
+        if not bound[worst] <= solver.KCL_TOL:
             raise SolverConvergenceError(
                 f"cell ({ii[worst]}, {jj[worst]}): nodal residual bound "
                 f"{bound[worst]:.3e} A exceeds tolerance {solver.KCL_TOL:.1e} A",

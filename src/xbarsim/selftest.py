@@ -151,20 +151,21 @@ def physics_invariants() -> tuple[bool, str]:
         net = build_network(spec, pattern, cells, bias)
         sol = solve(net)
         v = sol.node_voltages
-        if sol.kcl_residual > 1e-12:
+        # every test below fails on NaN
+        if not sol.kcl_residual <= 1e-12:
             problems.append(f"KCL residual {sol.kcl_residual:.1e}")
         fixed = net.fixed_voltage[net.fixed_mask]
-        if v.min() < fixed.min() - 1e-12 or v.max() > fixed.max() + 1e-12:
+        if not (v.min() >= fixed.min() - 1e-12 and v.max() <= fixed.max() + 1e-12):
             problems.append("maximum principle violated")
         delta = 0.17
         shifted = dataclasses.replace(bias, wl_v=bias.wl_v + delta, bl_v=bias.bl_v + delta)
         net2 = build_network(spec, pattern, cells, shifted)
         i_branch = branch_currents_at(net, branch_voltages(net, v))
         i_shifted = branch_currents_at(net2, branch_voltages(net2, solve(net2).node_voltages))
-        if np.abs(i_branch - i_shifted).max() > 1e-12:
+        if not np.abs(i_branch - i_shifted).max() <= 1e-12:
             problems.append("translation invariance violated")
         gap, bound = power_balance(net, v)
-        if gap > bound:
+        if not gap <= bound:
             problems.append("power conservation violated")
 
     # the device law every solve evaluates, both models and both states
@@ -174,14 +175,14 @@ def physics_invariants() -> tuple[bool, str]:
             params = cells.active_params(np.full(cells.shape, bit))
             for v in np.linspace(-1.5, 1.5, 101):
                 i = cells.currents(params, v)
-                if (np.abs(i + cells.currents(params, -v)) > 1e-15 * np.abs(i) + 1e-300).any():
+                if not (np.abs(i + cells.currents(params, -v)) <= 1e-15 * np.abs(i) + 1e-300).all():
                     problems.append("odd symmetry violated")
                     break
             h = 1e-7
             for v in (0.0, 0.4, 1.1):
                 fd = (cells.currents(params, v + h) - cells.currents(params, v - h)) / (2 * h)
                 g = cells.conductances(params, v)
-                if (np.abs(fd - g) > 1e-6 * g).any():
+                if not (np.abs(fd - g) <= 1e-6 * g).all():
                     problems.append("derivative consistency violated")
     if problems:
         return False, "; ".join(problems)

@@ -8,7 +8,8 @@ rule every one-shot solve ends with, and the KCL check.
 Residuals are evaluated in float64 branch form on the crossbar's grid
 (``node_imbalance``: wire segments between neighbouring rail nodes, devices
 between the wordline and bitline planes), which is accurate enough that no
-extended precision is needed.  Linear arrays use one factorization;
+extended precision is needed.  Every function here reads those planes
+through ``Network.rails``, in one body for wired and ideal-wire arrays.  Linear arrays use one factorization;
 sinh-device arrays use damped Newton iteration with the
 differential-conductance Jacobian, started on wired arrays from the
 ideal-rail solution (each line one node).  Clamped row sessions start from
@@ -138,8 +139,8 @@ def node_imbalance(net: Network, v: np.ndarray) -> np.ndarray:
     ``Network``'s node and wire order: wordline segments along each row of
     the wordline rail plane, bitline segments down each column of the
     bitline plane, boundary resistors by index, and devices between the two
-    planes (with one node per line, row and column sums of the device
-    currents).
+    planes (``Network.rails``; a plane of one node per line has no
+    segments, and each of its nodes adds its line's devices).
 
     Each branch's voltage difference is formed before any product, so
     float64 keeps nA device currents exact beside the large wire currents:
@@ -147,42 +148,36 @@ def node_imbalance(net: Network, v: np.ndarray) -> np.ndarray:
     long-double sum to within 3e-21 A, where the assembled ``G @ v`` is off
     by 4e-17 A.  Each node adds its branch currents in branch order.
     """
-    m, n = net.spec.rows, net.spec.cols
-    wired = net.spec.r_wire > 0
-    n_seg = m * (n - 1) + (m - 1) * n if wired else 0
+    out = np.zeros(v.shape)
+    (v_w, v_b), (out_w, out_b) = _lines(net, v), _lines(net, out)
+    n_seg = (len(v_w) - 1) * v_w.shape[1] + (len(v_b) - 1) * v_b.shape[1]
     ta, tb, g = net.wire_a[n_seg:], net.wire_b[n_seg:], net.wire_g[n_seg:]  # boundary resistors
     i_term = (g if v.ndim == 1 else g[:, None]) * (v[ta] - v[tb])
-    out = np.zeros(v.shape)
     out[tb] -= i_term  # a terminal node's only branch
-    if wired:
-        grid = (m, n) + v.shape[1:]
-        W, B = v[:m * n].reshape(grid), v[m * n:2 * m * n].reshape(grid)
-        out_w, out_b = out[:m * n].reshape(grid), out[m * n:2 * m * n].reshape(grid)
-        g_seg = 1.0 / net.spec.r_wire  # every segment's, as build_network sets it
-        i_seg = W[:, :-1] - W[:, 1:]
-        i_seg *= g_seg
-        out_w[:, 1:] -= i_seg
-        out_w[:, :-1] += i_seg
+    for P, O in ((v_w, out_w), (v_b, out_b)):
+        i_seg = P[:-1] - P[1:]
+        i_seg *= net.g_seg
+        O[1:] -= i_seg
+        O[:-1] += i_seg
         # Freed before the next plane-sized temporary is made, so the allocator hands
         # back mapped pages: faulting in a fresh one costs as much as its arithmetic.
         del i_seg
-        i_seg = B[:-1] - B[1:]
-        i_seg *= g_seg
-        out_b[1:] -= i_seg
-        out_b[:-1] += i_seg
-        del i_seg
-        out[ta] += i_term  # every line end is its own rail node
-        i_dev = net.cells.currents(net.active_params, W - B)
-        out_w += i_dev
-        out_b -= i_dev
-    else:
-        np.add.at(out, ta, i_term)  # both ends of a line attach to its one node
-        i_dev = net.cells.currents(net.active_params, v[:m, None] - v[None, m:m + n])
-        # Each line node then adds its devices in cell order, which np.cumsum
-        # keeps (np.sum may pair terms), so every node sums in branch order.
-        out[:m] = np.cumsum(np.concatenate([out[:m, None], i_dev], axis=1), axis=1)[:, -1]
-        out[m:m + n] = -np.cumsum(np.concatenate([-out[None, m:m + n], i_dev]), axis=0)[-1]
+    np.add.at(out, ta, i_term)  # with one node per line, both ends of a wordline are one
+    i_dev = net.cells.currents(net.active_params, v_w.swapaxes(0, 1) - v_b)
+    for op, O, i in ((np.add, out_w, i_dev.swapaxes(0, 1)), (np.subtract, out_b, i_dev)):
+        if len(O) == len(i):  # a node per cell
+            op(O, i, out=O)
+        else:  # a node per line adds its devices in cell order, which np.sum may not keep
+            O[:] = op.accumulate(np.concatenate([O, i]))[-1:]
     return out
+
+
+def _lines(net: Network, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A's rail planes (``Network.rails``) as views with each line's nodes
+    along the first axis: the wordline plane transposed, then the bitline
+    plane."""
+    W, B = net.rails(A)
+    return W.swapaxes(0, 1), B
 
 
 def _initial_voltages(net: Network) -> np.ndarray:
@@ -192,29 +187,28 @@ def _initial_voltages(net: Network) -> np.ndarray:
 def _ideal_rail_start(net: Network) -> np.ndarray:
     """Newton start of a wired sinh network: the same bias on the same cells
     with each line collapsed to one node (the ``r_wire = 0`` network),
-    solved, and each line's voltage spread over its rail nodes.  Against
+    solved, and each line's voltage spread over its rail nodes (the line
+    network's planes broadcast into this one's).  Against
     devices of a megaohm or more, ohm-scale wires only perturb that
     ideal-rail solution (A. Chen, IEEE TED 60(4), 2013), so Newton is left
     with the wire drops alone."""
     lines = build_network(replace(net.spec, r_wire=0.0), net.pattern, net.cells, net.bias)
     v_line = solve_nonlinear(lines).node_voltages
+    v = np.empty(net.n_nodes)
+    (W, B), (W_line, B_line) = net.rails(v), lines.rails(v_line)
+    W[:], B[:] = W_line, B_line
     # Both networks list the terminal nodes alike, after their rail nodes.
-    n_lines = net.spec.rows + net.spec.cols
-    return v_line[np.concatenate([lines.wl_nodes.ravel(), lines.bl_nodes.ravel(),
-                                  np.arange(n_lines, lines.n_nodes)])]
+    v[W.size + B.size:] = v_line[W_line.size + B_line.size:]
+    return v
 
 
 def _rail_start(net: Network, V: np.ndarray) -> None:
     """Set every rail node of V (nodes x solves) to its line's control-node
-    voltage, the ideal rail, in place: a nodes x solves temporary would set
-    peak memory."""
-    m, n = net.spec.rows, net.spec.cols
+    voltage, the ideal rail, in place through the planes of
+    ``Network.rails``: a nodes x solves temporary would set peak memory."""
     wl_v, bl_v = V[net.wl_attach.control_node], V[net.bl_attach.control_node]
-    if net.spec.r_wire > 0:
-        rails = V[:2 * m * n].reshape(2, m, n, V.shape[1])  # a view: V is C-ordered
-        rails[0], rails[1] = wl_v[:, None], bl_v[None]
-    else:
-        V[:m], V[m:m + n] = wl_v, bl_v
+    W, B = net.rails(V)
+    W[:], B[:] = wl_v[:, None], bl_v[None]
 
 
 @lru_cache(maxsize=8)
@@ -256,13 +250,14 @@ class LineBlocks:
     couplings between the wordline and bitline planes removed, factored
     line by line.
 
-    In T each wordline and each bitline is a chain of its rail nodes; each
-    node keeps its device and boundary-resistor conductance on the
-    diagonal, and a fixed node is an identity row cut from its chain.  With
-    ``r_wire = 0`` each line is one node and T is diagonal.  T is symmetric
-    positive definite and tridiagonal, so it factors as L D L' in O(nodes),
-    by the recurrence of LAPACK ``pttrf``, and ``relax`` solves with it by
-    that of ``pttrs``.  Both sweep along the chains with every line, and
+    In T each wordline and each bitline is a chain of its rail nodes, a
+    row of the wordline plane or a column of the bitline plane
+    (``Network.rails``); each node keeps its device and boundary-resistor
+    conductance on the diagonal, and a fixed node is an identity row cut
+    from its chain.  With ideal wires each line is one node and T is
+    diagonal.  T is symmetric positive definite and tridiagonal, so it
+    factors as L D L' in O(nodes), by the recurrence of LAPACK ``pttrf``,
+    and ``relax`` solves with it by that of ``pttrs``.  Both sweep along the chains with every line, and
     every solve column, at once.  ``pttrs`` itself takes one solve
     column's chains after another, bound by its recurrence's latency, and
     needs each plane transposed into chain order and back: a step with it
@@ -279,8 +274,7 @@ class LineBlocks:
     """
 
     def __init__(self, net: Network, device_g: np.ndarray):
-        self.shape, self.wired = (net.spec.rows, net.spec.cols), net.spec.r_wire > 0
-        m, n = self.shape
+        self.net = net
         g = np.asarray(device_g, dtype=float).ravel()
         ends = np.concatenate([net.wire_a, net.wire_b, net.dev_a, net.dev_b])
         diag = np.bincount(ends, np.concatenate([net.wire_g, net.wire_g, g, g]),
@@ -288,28 +282,21 @@ class LineBlocks:
         # Every line's nodes in one array, chain position by line: the M
         # wordlines, then the N bitlines, the shorter chains padded with
         # identity rows, so one sweep along the first axis serves them all.
-        nodes = np.full((max(m, n) if self.wired else 1, m + n), -1)
-        for plane, where in self._planes(np.arange(net.n_nodes)[:, None]):
-            nodes[where] = plane[..., 0]
+        W, B = _lines(net, np.arange(net.n_nodes))
+        m = W.shape[1]
+        self.where = np.s_[:len(W), :m], np.s_[:len(B), m:]
+        nodes = np.full((max(len(W), len(B)), m + B.shape[1]), -1)
+        for plane, where in zip((W, B), self.where):
+            nodes[where] = plane
         fixed = (nodes < 0) | net.fixed_mask[nodes]
         D = np.where(fixed, 1.0, diag[nodes])
-        g_seg = 1.0 / net.spec.r_wire if self.wired else 0.0
-        E = np.where(fixed[:-1] | fixed[1:], 0.0, -g_seg)  # E[i]: chain nodes i and i + 1
+        E = np.where(fixed[:-1] | fixed[1:], 0.0, -net.g_seg)  # E[i]: chain nodes i and i + 1
         L = np.empty(E.shape)
         for i in range(len(E)):
             L[i] = E[i] / D[i]
             D[i + 1] -= L[i] * E[i]
         self.D, self.L = D[..., None], L[..., None]
         self.fixed = np.flatnonzero(net.fixed_mask)
-
-    def _planes(self, A: np.ndarray) -> list:
-        """Each rail plane of A (nodes x columns) as a view with each line's
-        nodes along the first axis, and where it sits in the chain array."""
-        m, n = self.shape
-        if not self.wired:
-            return [(A[None, :m + n], np.s_[:, :])]
-        grid = A[:2 * m * n].reshape((2, m, n) + A.shape[1:], copy=False)
-        return [(grid[0].transpose(1, 0, 2), np.s_[:n, :m]), (grid[1], np.s_[:m, m:])]
 
     def relax(self, V: np.ndarray, F: np.ndarray) -> float:
         """One relaxation step of the solves in V's columns, in place, from
@@ -318,7 +305,7 @@ class LineBlocks:
         correction's largest entry."""
         F[self.fixed] = 0.0
         X = np.zeros(self.D.shape[:2] + (V.shape[1],))
-        for plane, where in self._planes(F):
+        for plane, where in zip(_lines(self.net, F), self.where):
             X[where] = plane
         tmp = np.empty(X.shape[1:])
         for i in range(len(self.L)):
@@ -328,7 +315,7 @@ class LineBlocks:
         for i in range(len(self.L) - 1, -1, -1):
             np.multiply(self.L[i], X[i + 1], out=tmp)
             X[i] -= tmp
-        for plane, where in self._planes(V):
+        for plane, where in zip(_lines(self.net, V), self.where):
             plane -= X[where]
         return max(float(X.max()), float(-X.min()))
 
@@ -556,23 +543,29 @@ def bitline_currents(net: Network, v: np.ndarray, columns=None) -> np.ndarray:
     solve, which gives one row per bitline.
 
     ``columns`` restricts the query (needed when other bitlines float);
-    querying a floating column is an error since it has no sense path.
+    querying a floating column is an error since it has no sense path, and
+    so is one outside the array.
 
     Only the sensed nodes' own branches are summed: a load's or driver's
-    boundary resistor, else (a direct clamp) the last bitline segment and
-    then the last-row device, or with ideal wires the column's devices in
-    cell order.  Each sensed node's imbalance is accumulated from zero in
-    ``node_imbalance``'s order, so the result has the same bits as the
-    negated residual at the control nodes, for O(N) work instead of O(MN).
+    boundary resistor, else (a direct clamp) the last bitline segment, if
+    the bitline plane (``Network.rails``) has more than one row, and then
+    the devices that reach the sense node in cell order (the last row's
+    with wires, the column's without).  Each sensed node's imbalance is
+    accumulated from zero in ``node_imbalance``'s order, so the result has
+    the same bits as the negated residual at the control nodes, for O(N)
+    work instead of O(MN).
     """
     att = net.bl_attach
     columns = (np.arange(net.spec.cols) if columns is None
                else np.asarray(list(columns), dtype=np.int64))
+    outside = (columns < 0) | (columns >= net.spec.cols)
+    if outside.any():
+        raise IndexError(f"bitline {int(columns[outside][0])} out of range for "
+                         f"{net.spec.cols} columns")
     floating = att.kind[columns] == TERM_FLOATING
     if floating.any():
         j = int(columns[floating][0])
         raise ValueError(f"bitline {j} is floating: no sense path to measure current")
-    m = net.spec.rows
     leaving = np.zeros(columns.shape + v.shape[1:])
     series = att.kind[columns] == TERM_RESISTIVE
     c = columns[series]
@@ -581,18 +574,16 @@ def bitline_currents(net: Network, v: np.ndarray, columns=None) -> np.ndarray:
         v[att.attach_node[c]] - v[att.terminal_node[c]])
     c = columns[~series]
     if c.size:
-        end = net.bl_nodes[m - 1, c]
-        if net.spec.r_wire > 0:
-            out = leaving[~series]
-            if m > 1:
-                i_seg = v[net.bl_nodes[m - 2, c]] - v[end]
-                i_seg *= 1.0 / net.spec.r_wire
-                out -= i_seg
-            out -= net.cells.currents(net.active_params[m - 1, c], v[net.wl_nodes[m - 1, c]] - v[end])
-        else:
-            i_dev = net.cells.currents(net.active_params[:, c], v[:m, None] - v[None, end])
-            out = -np.cumsum(np.concatenate([-leaving[None, ~series], i_dev]), axis=0)[-1]
-        leaving[~series] = out
+        B = net.rails(v)[1]
+        out = leaving[~series]
+        if len(B) > 1:
+            i_seg = B[-2, c] - B[-1, c]
+            i_seg *= net.g_seg
+            out -= i_seg
+        reach = slice(len(B) - 1, None)  # the rows whose devices end on the sense node
+        wl = net.dev_a.reshape(net.active_params.shape)[reach, c]
+        i_dev = net.cells.currents(net.active_params[reach, c], v[wl] - B[-1, c])
+        leaving[~series] = np.subtract.accumulate(np.concatenate([out[None], i_dev]))[-1]
     return -leaving
 
 

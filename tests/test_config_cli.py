@@ -9,7 +9,7 @@ import pytest
 import yaml
 
 import xbarsim
-from xbarsim import experiments
+from xbarsim import experiments, selftest
 from xbarsim.cli import main
 from xbarsim.config import (
     ConfigError,
@@ -332,6 +332,11 @@ class TestCli:
         proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                               capture_output=True, text=True)
         assert proc.returncode >= 1, proc.stderr
+
+    def test_physics_invariants_fail_a_nan_power_gap(self, monkeypatch):
+        monkeypatch.setattr(selftest, "power_balance", lambda net, v: (float("nan"), 1.0))
+        ok, detail = selftest.physics_invariants()
+        assert not ok and "power conservation violated" in detail
 
     def test_config_error_emits_json_and_exit_2(self, tmp_path, capsys):
         code = run_cli(["--set", "crossbar.v_b=2.0", "fom-table"], tmp_path)

@@ -114,9 +114,27 @@ class TestConventionalBias:
         cells = CellGrid.sample(2, 2, LinearDeviceParams(), NOVAR)
         net = build_network(spec, np.ones((2, 2), np.int8), cells,
                             conventional_cell_bias(spec, 0, 0))
-        keep = ~((net.dev_a == net.wl_nodes[0, 0]) & (net.dev_b == net.bl_nodes[0, 0]))
+        keep = ~((net.dev_a == net.dev_a[0]) & (net.dev_b == net.dev_b[0]))
         _, labels = _components(net, keep)
-        assert labels[net.wl_nodes[0, 0]] == labels[net.bl_nodes[1, 0]]
+        assert labels[net.dev_a[0]] == labels[net.dev_b[2]]
+
+
+@pytest.mark.parametrize("r_wire", [10.0, 0.0])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_rails_write_through_a_column_slice(r_wire, order):
+    spec = CrossbarSpec(rows=3, cols=4, r_wire=r_wire, r_driver=5.0)
+    cells = CellGrid.sample(3, 4, LinearDeviceParams(), NOVAR)
+    net = build_network(spec, np.zeros((3, 4), np.int8), cells, row_read_bias(spec, 1))
+    A = np.zeros((net.n_nodes, 5), order=order)
+    W, B = net.rails(A[:, 1:3])
+    W[:] = 1.0 + np.arange(W.size).reshape(W.shape)
+    B[:] = -1.0 - np.arange(B.size).reshape(B.shape)
+    n_w, n_b = W.size // 2, B.size // 2  # rail nodes of each plane
+    want = np.zeros((net.n_nodes, 5))
+    want[:n_w, 1:3] = 1.0 + np.arange(2 * n_w).reshape(n_w, 2)
+    want[n_w:n_w + n_b, 1:3] = -1.0 - np.arange(2 * n_b).reshape(n_b, 2)
+    assert (n_w, n_b) == ((12, 12) if r_wire > 0 else (3, 4))
+    assert np.array_equal(A, want)
 
 
 def _components(net, keep=None):
@@ -323,6 +341,20 @@ class TestNodeNames:
         net = build_network(spec, np.zeros((2, 2), np.int8), cells, row_read_bias(spec, 1))
         assert net.node_name(6) == "wl[0].terminal_far"
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 1), (1, 1)])
+    def test_every_rail_node_is_named(self, shape):
+        m, n = shape
+        cells = CellGrid.sample(m, n, LinearDeviceParams(), NOVAR)
+        for r_wire in (10.0, 0.0):
+            spec = CrossbarSpec(rows=m, cols=n, r_wire=r_wire)
+            net = build_network(spec, np.zeros(shape, np.int8), cells, row_read_bias(spec, 0))
+            if r_wire > 0:  # cell-major in each plane
+                want = ([f"wl[{i}].seg[{j}]" for i in range(m) for j in range(n)]
+                        + [f"bl[{j}].seg[{i}]" for i in range(m) for j in range(n)])
+            else:
+                want = [f"wl[{i}]" for i in range(m)] + [f"bl[{j}]" for j in range(n)]
+            assert [net.node_name(k) for k in range(len(want))] == want
+
 
 _shapes = st.one_of(st.tuples(st.just(1), st.integers(1, 6)),
                     st.tuples(st.integers(1, 6), st.just(1)),
@@ -406,8 +438,12 @@ def reference_network(spec, wordline_sources, bitline_terms):
         for i, s in enumerate(wordline_sources)
     ]
     bl = [attach(bl_nodes[m - 1, j], t) for j, t in enumerate(bitline_terms)]
+    planes = (wl_nodes, bl_nodes) if spec.r_wire > 0 else (wl_nodes[:, :1], bl_nodes[:1, :])
     return {
         "n_nodes": len(fixed_mask),
+        "dev_a": wl_nodes.ravel(),
+        "dev_b": bl_nodes.ravel(),
+        "rails": planes,
         "fixed_mask": np.array(fixed_mask),
         "fixed_voltage": np.array(fixed_voltage),
         "wire_a": np.array([w[0] for w in wires], dtype=np.int64),
@@ -452,9 +488,11 @@ def test_build_network_matches_per_line_reference(data, rows, cols, r_wire, r_dr
     assert net.n_nodes == ref["n_nodes"]
     assert np.array_equal(net.fixed_mask, ref["fixed_mask"])
     assert np.array_equal(net.fixed_voltage, ref["fixed_voltage"], equal_nan=True)
-    for name in ("wire_a", "wire_b", "wire_g"):
+    for name in ("wire_a", "wire_b", "wire_g", "dev_a", "dev_b"):
         got = getattr(net, name)
         assert got.dtype == ref[name].dtype and np.array_equal(got, ref[name]), name
+    for got, want in zip(net.rails(np.arange(net.n_nodes)), ref["rails"], strict=True):
+        assert got.shape == want.shape and np.array_equal(got, want)
     for name in ("wl_attach", "wl_attach_far", "bl_attach"):
         attach = getattr(net, name)
         assert len(attach) == len(ref[name])

@@ -228,3 +228,47 @@ def test_only_crossbar_and_solver_read_bias_codes():
     strays = [f"{p.name} {use}" for p in ALL_MODULES if p.name not in BIAS_OWNERS
               for use in bias_code_uses(p.read_text())]
     assert not strays, f"bias codes used outside crossbar and solver: {strays}"
+
+
+# Which rail layout a network has is decided by ``Network.rails``; the solver
+# compares ``r_wire`` only for its algorithm choices: the factor order
+# (``ReducedSystem.__init__``) and the Newton start (``solve_nonlinear``).
+R_WIRE_COMPARERS = {"ReducedSystem.__init__", "solve_nonlinear"}
+
+
+def r_wire_comparisons(source: str) -> list[str]:
+    """Comparisons that read a name or attribute ``r_wire``, as ``line n:
+    definition`` for the innermost function or class holding each
+    (``Class.method``; ``<module>`` outside one)."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if where == "<module>" else f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Compare) and any(
+                    getattr(n, "attr", getattr(n, "id", None)) == "r_wire"
+                    for n in ast.walk(child)):
+                found.append(f"line {child.lineno}: {where}")
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_checker_finds_r_wire_comparisons():
+    source = ("WIRED = spec.r_wire > 0\n\n"
+              "class S:\n    def __init__(self, net):\n        self.w = net.spec.r_wire > 0\n\n"
+              "    def g(self, r_wire):\n        return 1.0 / r_wire\n\n"
+              "def f(net, r_wire):\n    def inner():\n        return 0.0 < r_wire\n"
+              "    return inner if net.rows > 1 else None\n")
+    assert r_wire_comparisons(source) == [
+        "line 1: <module>", "line 5: S.__init__", "line 12: f.inner"]
+
+
+def test_only_algorithm_choices_compare_r_wire():
+    strays = [f"{p.name} {use}" for p in ALL_MODULES if p.name in ("solver.py", "readout.py")
+              for use in r_wire_comparisons(p.read_text())
+              if use.split(": ")[1] not in R_WIRE_COMPARERS]
+    assert not strays, f"rail layout decided outside Network.rails: {strays}"

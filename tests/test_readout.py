@@ -445,7 +445,7 @@ class TestRowReadSession:
                 assert np.abs(got[i] - want).max() < 1e-11
             else:
                 to = bitlines.to if isinstance(bitlines, ResistiveLoad) else 0.0
-                want = want_v[net.bl_nodes[m - 1]] - to
+                want = want_v[net.bl_attach.attach_node] - to
                 assert session.unit == "V"
                 assert np.abs(got[i] - want).max() <= 1e-12
 

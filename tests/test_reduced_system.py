@@ -167,6 +167,17 @@ def test_floating_conventional_session_enforces_its_tolerance(monkeypatch):
     cells = CellGrid.sample(6, 6, LinearDeviceParams(), VariationSpec(0.10, 4))
     session = ConventionalSession(spec, cells, pattern)
     assert np.all(session.currents([(1, 2), (3, 4)]) > 0)
+    pair_resistances = ConventionalSession._pair_resistances
+
+    def nan_residual(self, *args):
+        r_eff, res = pair_resistances(self, *args)
+        return r_eff, np.full_like(res, np.nan)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ConventionalSession, "_pair_resistances", nan_residual)
+        with pytest.raises(SolverConvergenceError, match=r"cell \(1, 2\).* nan A") as info:
+            session.currents([(1, 2), (3, 4)])
+    assert np.isnan(info.value.residual)
     monkeypatch.setattr(solver, "KCL_TOL", 1e-30)
     with pytest.raises(SolverConvergenceError, match=r"cell \(\d, \d\)") as info:
         session.currents([(1, 2), (3, 4)])

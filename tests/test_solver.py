@@ -336,6 +336,24 @@ class TestOracleEquivalence:
         with pytest.raises(ValueError, match="capped"):
             dense_reference_solve(net)
 
+    def test_dense_newton_refines_a_start_within_the_bound(self):
+        # two HRS cells float the bitline: the flat start is within KCL_TOL
+        # (7.6e-13 A), yet 3.5 mV from the solution
+        spec = CrossbarSpec(rows=2, cols=1, r_wire=0.0)
+        bias = BiasConfig.from_terms((Drive(spec.v_dd), Clamp(spec.v_b)), (FLOATING,))
+        net = build(spec, NON, bias, sigma=0.1, pattern=np.zeros((2, 1), np.int8))
+        ref = dense_reference_solve(net)
+        assert ref.kcl_residual <= solver.KCL_TOL
+        assert np.abs(ref.node_voltages - solve(net).node_voltages).max() <= 1e-10
+
+    def test_dense_solve_fails_a_nan_residual(self):
+        spec = CrossbarSpec(rows=2, cols=2, r_wire=10.0)
+        nan = np.full((2, 2), np.nan)
+        net = build_network(spec, np.ones((2, 2), np.int8), CellGrid(LIN, nan, nan),
+                            row_read_bias(spec, 0))
+        with pytest.raises(SolverConvergenceError, match="dense linear residual nan"):
+            dense_reference_solve(net)
+
     def test_ungrounded_rejected_identically_by_both_paths(self):
         # bias validation refuses all-floating configurations up front, so
         # exercise the solver-level guards on a hand-disconnected network
@@ -360,6 +378,15 @@ class TestInterfaces:
         sol = solve(net)
         with pytest.raises(ValueError, match="no sense path"):
             bitline_currents(net, sol.node_voltages)
+
+    @pytest.mark.parametrize("column", [-1, 4])
+    def test_bitline_query_outside_the_array_rejected(self, column):
+        # a negative column must not wrap around to the last bitline
+        spec = CrossbarSpec(rows=3, cols=4, r_wire=10.0)
+        net = build(spec, LIN, row_read_bias(spec, 1))
+        v = solve(net).node_voltages
+        with pytest.raises(IndexError, match=f"bitline {column} out of range"):
+            bitline_currents(net, v, columns=[column])
 
     def test_source_power_balances_dissipation(self):
         spec = CrossbarSpec(rows=6, cols=6, r_wire=10.0)
